@@ -36,6 +36,13 @@
  * independent of trace length (`rss_independent_of_length` in the
  * JSON).
  *
+ * A recorded-stream phase measures the record-once/replay-many layer
+ * (trace/run_recording.hh) on every paper workload: runs and bytes per
+ * access of the run-length recording, whether it stays within budget
+ * (kept) or is abandoned, the tee's overhead over plain generation and
+ * the replay cost, all in ns/access. `replay_faster_than_generate`
+ * gates every kept recording's replay against generating the stream.
+ *
  * Budget knobs: ANCHORTLB_ACCESSES (default 1M here), ANCHORTLB_SCALE,
  * ANCHORTLB_STREAM_ACCESSES (long streamed length, default 100M).
  */
@@ -65,6 +72,7 @@
 #include "sim/experiment.hh"
 #include "stats/json_writer.hh"
 #include "stats/table.hh"
+#include "trace/run_recording.hh"
 #include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
@@ -269,6 +277,72 @@ measureStream(const SimOptions &options, const std::string &workload,
     return report;
 }
 
+struct RecordedReport
+{
+    std::string workload;
+    std::uint64_t accesses = 0;
+    std::size_t runs = 0; //!< 0 when abandoned
+    bool kept = false;
+    double generate_ns = 0.0; //!< per access, plain generation
+    double tee_ns = 0.0;      //!< per access, generation + recording
+    double replay_ns = 0.0;   //!< per access; 0 when abandoned
+
+    double runsPerAccess() const
+    {
+        return static_cast<double>(runs) / static_cast<double>(accesses);
+    }
+    double bytesPerAccess() const
+    {
+        return runsPerAccess() *
+               static_cast<double>(sizeof(std::uint64_t));
+    }
+};
+
+/**
+ * One cell's stream three ways: generated, generated through the
+ * recording tee, and replayed from the recording (when kept). Each
+ * figure is the best of five drains; generation and tee alternate so
+ * host-speed drift hits both alike.
+ */
+RecordedReport
+measureRecorded(const SimOptions &options, const std::string &workload)
+{
+    constexpr unsigned reps = 5;
+    const WorkloadSpec spec = scaledWorkloadSpec(options, workload);
+    const std::uint64_t accesses = cellAccesses(options, spec);
+    const auto nsPerAccess = [accesses](TraceSource &source) {
+        return 1e9 / drainRate(source, accesses);
+    };
+
+    RecordedReport r;
+    r.workload = workload;
+    r.accesses = accesses;
+    r.generate_ns = std::numeric_limits<double>::infinity();
+    r.tee_ns = std::numeric_limits<double>::infinity();
+    std::shared_ptr<RunRecording> recording;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const std::unique_ptr<TraceSource> direct =
+            makeCellTrace(options, spec, accesses);
+        r.generate_ns = std::min(r.generate_ns, nsPerAccess(*direct));
+        recording = std::make_shared<RunRecording>(
+            RunRecording::budgetFor(accesses));
+        RecordingTee tee(makeCellTrace(options, spec, accesses),
+                         *recording);
+        r.tee_ns = std::min(r.tee_ns, nsPerAccess(tee));
+    }
+    recording->finish();
+    r.kept = !recording->abandoned();
+    if (!r.kept)
+        return r;
+    r.runs = recording->runs();
+    r.replay_ns = std::numeric_limits<double>::infinity();
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        RecordingReplay replay(recording);
+        r.replay_ns = std::min(r.replay_ns, nsPerAccess(replay));
+    }
+    return r;
+}
+
 struct UnpackReport
 {
     unsigned width = 0;
@@ -361,7 +435,9 @@ emitJson(const std::string &path, const SimOptions &opts,
          const std::vector<StreamReport> &streams, double worst_ratio,
          bool mmap_ok, const StreamedReport &stream_short,
          const StreamedReport &stream_long,
-         const std::vector<UnpackReport> &unpacks)
+         const std::vector<UnpackReport> &unpacks,
+         const std::vector<RecordedReport> &recorded,
+         bool replay_faster)
 {
     std::ofstream out(path);
     if (!out)
@@ -415,6 +491,23 @@ emitJson(const std::string &path, const SimOptions &opts,
         json.endObject();
     }
     json.endArray();
+    json.key("recorded_streams");
+    json.beginArray();
+    for (const RecordedReport &r : recorded) {
+        json.beginObject();
+        json.field("workload", r.workload);
+        json.field("accesses", r.accesses);
+        json.field("kept", r.kept);
+        json.field("runs_per_access", r.runsPerAccess());
+        json.field("bytes_per_access", r.bytesPerAccess());
+        json.field("generate_ns_per_access", r.generate_ns);
+        json.field("tee_overhead_ns_per_access",
+                   r.tee_ns - r.generate_ns);
+        json.field("replay_ns_per_access", r.replay_ns);
+        json.endObject();
+    }
+    json.endArray();
+    json.field("replay_faster_than_generate", replay_faster);
     double min_unpack_speedup = std::numeric_limits<double>::infinity();
     json.key("unpack_kernels");
     json.beginArray();
@@ -516,6 +609,31 @@ main(int argc, char **argv)
     }
     table.printAscii(std::cout);
 
+    Table recorded_table(
+        "Recorded stream (record once, replay many; ns per access)",
+        {"workload", "runs/acc", "B/acc", "kept", "generate", "tee +",
+         "replay"});
+    std::vector<RecordedReport> recorded;
+    bool replay_faster = true;
+    for (const std::string &workload : paperWorkloadNames()) {
+        const RecordedReport r = measureRecorded(opts, workload);
+        replay_faster = replay_faster &&
+                        (!r.kept || r.replay_ns < r.generate_ns);
+        recorded_table.beginRow();
+        recorded_table.cell(r.workload);
+        recorded_table.cell(r.runsPerAccess(), 4);
+        recorded_table.cell(r.bytesPerAccess(), 3);
+        recorded_table.cell(r.kept ? "kept" : "abandoned");
+        recorded_table.cell(r.generate_ns, 2);
+        recorded_table.cell(r.tee_ns - r.generate_ns, 2);
+        recorded_table.cell(r.replay_ns, 2);
+        recorded.push_back(r);
+    }
+    std::cout << "\n";
+    recorded_table.printAscii(std::cout);
+    std::cout << "replay faster than generation on every kept stream: "
+              << (replay_faster ? "yes" : "NO") << "\n";
+
     std::cout << "\nbit-unpack kernels (simd level "
               << simdLevelName(simdLevel()) << "), " << "1Mi elems, "
               << "Melem/s:\n";
@@ -534,7 +652,7 @@ main(int argc, char **argv)
               << "\n";
 
     emitJson(json_path, opts, streams, worst_ratio, mmap_ok,
-             stream_short, stream_long, unpacks);
+             stream_short, stream_long, unpacks, recorded, replay_faster);
     std::cout << "wrote " << json_path << "\n";
     return 0;
 }

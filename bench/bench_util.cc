@@ -119,7 +119,9 @@ printSweepSummary(const ExperimentContext &ctx)
               << "%)";
     if (ctx.options().shards > 1)
         std::cerr << ", " << ctx.options().shards << " shards/cell";
-    std::cerr << "\n";
+    std::cerr << "; streams " << c.stream_recorded << " recorded ("
+              << c.recording_bytes / 1024 << " KB) / " << c.stream_replayed
+              << " replayed / " << c.stream_direct << " direct\n";
 }
 
 void

@@ -17,7 +17,8 @@
  *    instead of ballooning memory — and cannot deadlock, because
  *    workers only ever drain the queue.
  *  - Shared pair state: expensive per-(workload, scenario) state
- *    (mapping + lazily built page tables, CellPairState) is owned by
+ *    (mapping, lazily built page tables and the recorded access
+ *    stream, CellPairState) is owned by
  *    the scheduler in a pinned LRU cache keyed by the pair plus the
  *    SimOptions fields its construction reads (seed, footprint_scale).
  *    Jobs from different requests reuse one build; entries pinned by a

@@ -253,6 +253,31 @@ buildSchemeMmu(const MmuConfig &config, const PageTable &table,
     ATLB_FATAL("no MMU built for scheme");
 }
 
+namespace
+{
+
+/** The cell body shared by both runSchemeCell overloads. */
+SimResult
+simulateCell(const SimOptions &options, const WorkloadSpec &spec,
+             ScenarioKind scenario, const MemoryMap &map,
+             const PageTable &table, Scheme scheme,
+             std::uint64_t anchor_distance, TraceSource &trace)
+{
+    const std::unique_ptr<Mmu> mmu =
+        buildSchemeMmu(options.mmu, table, map, scheme, anchor_distance);
+
+    SimResult res = runSimulation(*mmu, trace, spec.mem_per_instr,
+                                  options.translate_mode);
+    res.workload = spec.name;
+    res.scenario = scenarioName(scenario);
+    res.scheme = schemeName(scheme);
+    if (scheme == Scheme::Anchor || scheme == Scheme::AnchorIdeal)
+        res.anchor_distance = anchor_distance;
+    return res;
+}
+
+} // namespace
+
 SimResult
 runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
               ScenarioKind scenario, const MemoryMap &map,
@@ -270,16 +295,29 @@ runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
 
     const std::unique_ptr<TraceSource> trace =
         makeCellTrace(options, spec, cellAccesses(options, spec));
-    const std::unique_ptr<Mmu> mmu =
-        buildSchemeMmu(options.mmu, table, map, scheme, anchor_distance);
+    return simulateCell(options, spec, scenario, map, table, scheme,
+                        anchor_distance, *trace);
+}
 
-    SimResult res = runSimulation(*mmu, *trace, spec.mem_per_instr,
-                                  options.translate_mode);
-    res.workload = spec.name;
-    res.scenario = scenarioName(scenario);
-    res.scheme = schemeName(scheme);
-    if (scheme == Scheme::Anchor || scheme == Scheme::AnchorIdeal)
-        res.anchor_distance = anchor_distance;
+SimResult
+runSchemeCell(const SimOptions &options, const CellPairState &pair,
+              const PageTable &table, Scheme scheme,
+              std::uint64_t anchor_distance, StreamUse *use)
+{
+    if (options.shards > 1) {
+        if (use)
+            *use = StreamUse::Direct;
+        return runSchemeCell(options, pair.spec(), pair.scenario(),
+                             pair.map(), table, scheme, anchor_distance);
+    }
+
+    CellPairState::Stream stream = pair.openStream(options);
+    SimResult res = simulateCell(options, pair.spec(), pair.scenario(),
+                                 pair.map(), table, scheme,
+                                 anchor_distance, *stream.source);
+    const StreamUse used = pair.closeStream(stream);
+    if (use)
+        *use = used;
     return res;
 }
 
@@ -311,18 +349,85 @@ CellPairState::thpTable() const
     return *thp_table_;
 }
 
-/** Cached expensive state for one (workload, scenario) pair. */
+CellPairState::Stream
+CellPairState::openStream(const SimOptions &options) const
+{
+    const std::uint64_t accesses = cellAccesses(options, spec_);
+    const std::uint64_t trace_seed = traceSeedFor(options, spec_);
+    Stream stream;
+    {
+        const std::lock_guard<std::mutex> lock(record_.m);
+        switch (record_.state) {
+          case RecordingState::None:
+            record_.state = RecordingState::Recording;
+            record_.trace_seed = trace_seed;
+            record_.accesses = accesses;
+            stream.use = StreamUse::Recorded;
+            break;
+          case RecordingState::Kept:
+            if (record_.trace_seed == trace_seed &&
+                record_.accesses == accesses) {
+                stream.source =
+                    std::make_unique<RecordingReplay>(record_.recording);
+                stream.use = StreamUse::Replayed;
+                return stream;
+            }
+            break;
+          case RecordingState::Recording:
+          case RecordingState::Abandoned:
+            break;
+        }
+    }
+    // Opening the direct source (a file, for trace-driven pairs) runs
+    // outside the lock.
+    stream.source = makeCellTrace(options, spec_, accesses);
+    if (stream.use == StreamUse::Recorded) {
+        stream.recording = std::make_unique<RunRecording>(
+            RunRecording::budgetFor(accesses));
+        stream.source = std::make_unique<RecordingTee>(
+            std::move(stream.source), *stream.recording);
+    }
+    return stream;
+}
+
+StreamUse
+CellPairState::closeStream(Stream &stream) const
+{
+    if (stream.use != StreamUse::Recorded)
+        return stream.use;
+    stream.source.reset(); // the tee borrows the recording
+    stream.recording->finish();
+    const std::lock_guard<std::mutex> lock(record_.m);
+    if (stream.recording->abandoned()) {
+        record_.state = RecordingState::Abandoned;
+        return StreamUse::Direct;
+    }
+    record_.recording = std::move(stream.recording);
+    record_.state = RecordingState::Kept;
+    return StreamUse::Recorded;
+}
+
+std::size_t
+CellPairState::recordingBytes() const
+{
+    const std::lock_guard<std::mutex> lock(record_.m);
+    return record_.recording ? record_.recording->bytes() : 0;
+}
+
+/**
+ * One cached pair: the shared pair state (mapping, plain/THP tables,
+ * stream recording) plus the serial path's anchor table, which
+ * runScheme re-sweeps in place for each distance.
+ */
 struct ExperimentContext::PairState
 {
-    std::string workload;
-    ScenarioKind scenario;
-    WorkloadSpec spec;     //!< footprint already scaled
-    MemoryMap map;
-    std::uint64_t dynamic_distance = 0;
+    PairState(const SimOptions &options, const std::string &workload,
+              ScenarioKind scenario)
+        : pair(options, workload, scenario)
+    {
+    }
 
-    // Lazily built page-table variants.
-    std::optional<PageTable> plain_table; //!< all-4KB (Base, Cluster)
-    std::optional<PageTable> thp_table;   //!< with 2MB leaves
+    CellPairState pair;
     std::optional<PageTable> anchor_table;
     std::uint64_t anchor_table_distance = 0;
 };
@@ -364,7 +469,8 @@ ExperimentContext::pairState(const std::string &workload,
 {
     ++counters_.lookups;
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-        if ((*it)->workload == workload && (*it)->scenario == scenario) {
+        if ((*it)->pair.workload() == workload &&
+            (*it)->pair.scenario() == scenario) {
             ++counters_.hits;
             // LRU: move the hit to the back (most recently used) so
             // revisited pairs survive sweeps over other pairs.
@@ -377,16 +483,8 @@ ExperimentContext::pairState(const std::string &workload,
         }
     }
 
-    auto state = std::make_unique<PairState>();
-    state->workload = workload;
-    state->scenario = scenario;
-    state->spec = scaledWorkloadSpec(options_, workload);
-    state->map = buildScenario(scenario,
-                               scenarioParamsFor(options_, state->spec));
-    state->dynamic_distance =
-        selectAnchorDistance(state->map.contiguityHistogram()).distance;
-
-    cache_.push_back(std::move(state));
+    cache_.push_back(
+        std::make_unique<PairState>(options_, workload, scenario));
     // Page tables are tens of MB for big footprints: bound the number of
     // pairs kept alive (ANCHORTLB_CACHE_PAIRS), evicting the LRU front.
     while (cache_.size() > options_.cache_pairs)
@@ -398,52 +496,69 @@ const MemoryMap &
 ExperimentContext::mapping(const std::string &workload,
                            ScenarioKind scenario)
 {
-    return pairState(workload, scenario).map;
+    return pairState(workload, scenario).pair.map();
 }
 
 std::uint64_t
 ExperimentContext::dynamicDistance(const std::string &workload,
                                    ScenarioKind scenario)
 {
-    return pairState(workload, scenario).dynamic_distance;
+    return pairState(workload, scenario).pair.dynamicDistance();
+}
+
+void
+ExperimentContext::countStream(StreamUse use, const CellPairState &pair)
+{
+    switch (use) {
+      case StreamUse::Direct:
+        ++counters_.stream_direct;
+        break;
+      case StreamUse::Recorded:
+        ++counters_.stream_recorded;
+        counters_.recording_bytes += pair.recordingBytes();
+        break;
+      case StreamUse::Replayed:
+        ++counters_.stream_replayed;
+        break;
+    }
 }
 
 SimResult
 ExperimentContext::runScheme(PairState &state, Scheme scheme,
                              std::uint64_t anchor_distance)
 {
+    const CellPairState &pair = state.pair;
     const PageTable *table = nullptr;
     switch (scheme) {
       case Scheme::Base:
       case Scheme::Cluster:
-        if (!state.plain_table)
-            state.plain_table = buildPageTable(state.map, false);
-        table = &*state.plain_table;
+        table = &pair.plainTable();
         break;
       case Scheme::Thp:
       case Scheme::Cluster2MB:
       case Scheme::Rmm:
-        if (!state.thp_table)
-            state.thp_table = buildPageTable(state.map, true);
-        table = &*state.thp_table;
+        table = &pair.thpTable();
         break;
       case Scheme::Anchor:
       case Scheme::AnchorIdeal:
         if (!state.anchor_table) {
-            state.anchor_table = buildPageTable(state.map, true);
+            state.anchor_table = buildPageTable(pair.map(), true);
             state.anchor_table_distance = 0;
         }
         if (state.anchor_table_distance != anchor_distance) {
             state.anchor_table->sweepAnchors(
-                state.map, AnchorDist::fromPages(anchor_distance));
+                pair.map(), AnchorDist::fromPages(anchor_distance));
             state.anchor_table_distance = anchor_distance;
         }
         table = &*state.anchor_table;
         break;
     }
     ATLB_ASSERT(table, "no page table built for scheme");
-    return runSchemeCell(options_, state.spec, state.scenario, state.map,
-                         *table, scheme, anchor_distance);
+    StreamUse use = StreamUse::Direct;
+    SimResult res = runSchemeCell(options_, pair, *table, scheme,
+                                  anchor_distance, &use);
+    countStream(use, pair);
+    return res;
 }
 
 SimResult
@@ -462,17 +577,21 @@ ExperimentContext::runIdealSweep(PairState &state)
     const unsigned threads = std::min<unsigned>(
         options_.threads, static_cast<unsigned>(distances.size()));
     if (threads > 1) {
+        const CellPairState &pair = state.pair;
+        std::vector<StreamUse> uses(distances.size());
         ThreadPool pool(threads);
         for (std::size_t i = 0; i < distances.size(); ++i) {
-            pool.submit([this, &state, &distances, &runs, i] {
+            pool.submit([this, &pair, &distances, &runs, &uses, i] {
                 const PageTable table = buildAnchorPageTable(
-                    state.map, AnchorDist::fromPages(distances[i]));
-                runs[i] = runSchemeCell(options_, state.spec,
-                                        state.scenario, state.map, table,
-                                        Scheme::AnchorIdeal, distances[i]);
+                    pair.map(), AnchorDist::fromPages(distances[i]));
+                runs[i] = runSchemeCell(options_, pair, table,
+                                        Scheme::AnchorIdeal, distances[i],
+                                        &uses[i]);
             });
         }
         pool.wait();
+        for (const StreamUse use : uses)
+            countStream(use, pair);
     } else {
         for (std::size_t i = 0; i < distances.size(); ++i)
             runs[i] = runScheme(state, Scheme::AnchorIdeal, distances[i]);
@@ -537,7 +656,7 @@ ExperimentContext::run(const std::string &workload, ScenarioKind scenario,
         std::uint64_t distance = 0;
         if (scheme == Scheme::Anchor) {
             distance = distance_override ? *distance_override
-                                         : state.dynamic_distance;
+                                         : state.pair.dynamicDistance();
         }
         result = runScheme(state, scheme, distance);
     }

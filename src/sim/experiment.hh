@@ -8,7 +8,10 @@
  * footprints are large, so the context keeps a small LRU cache of
  * per-(workload, scenario) state (capacity cache_pairs, revisited
  * pairs move to the back) — iterate workloads in the outer loop for
- * locality.
+ * locality. Each cached pair also keeps its access stream as a
+ * run-length recording after the first pass, so the pair's other
+ * scheme and Static Ideal passes replay it instead of regenerating it
+ * (CellPairState::openStream, DESIGN.md §7.4).
  */
 
 #ifndef ANCHORTLB_SIM_EXPERIMENT_HH
@@ -29,6 +32,7 @@
 #include "os/scenario.hh"
 #include "sim/scheme.hh"
 #include "sim/simulator.hh"
+#include "trace/run_recording.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -164,32 +168,45 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
  * @p table and stream the workload's trace through it. @p table must
  * match the scheme's table flavour (plain 4KB for Base/Cluster, THP for
  * THP/Cluster-2MB/RMM, anchor-swept at @p anchor_distance for the
- * anchor schemes). This is the shared cell body of both the serial
- * ExperimentContext path and the parallel sweep engine, which is what
- * makes the two bit-identical.
+ * anchor schemes). The stream comes straight from makeCellTrace; the
+ * CellPairState overload below is the same body with the pair's
+ * recorded stream, and is what every executor runs.
  */
 SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
                         ScenarioKind scenario, const MemoryMap &map,
                         const PageTable &table, Scheme scheme,
                         std::uint64_t anchor_distance);
 
+/** How one simulation pass of a pair obtained its access stream. */
+enum class StreamUse : std::uint8_t
+{
+    Direct,   //!< generated or decoded afresh; nothing kept
+    Recorded, //!< generated afresh and kept as the pair's recording
+    Replayed, //!< expanded from the pair's recording
+};
+
 /**
- * Immutable expensive state for one (workload, scenario) pair, safe to
- * share read-only across threads: the footprint-scaled spec, the
- * scenario mapping and its dynamically selected anchor distance are
- * built eagerly by the constructor; the plain/THP page-table flavours
- * are built lazily on first use (std::call_once, so concurrent readers
- * share one build). Anchor-swept tables are deliberately absent — the
- * sweep mutates the table, so anchor jobs build a private one from
- * map().
+ * Expensive state for one (workload, scenario) pair, safe to share
+ * across threads: the footprint-scaled spec, the scenario mapping and
+ * its dynamically selected anchor distance are built eagerly by the
+ * constructor; the plain/THP page-table flavours are built lazily on
+ * first use (std::call_once, so concurrent readers share one build).
+ * Anchor-swept tables are deliberately absent — the sweep mutates the
+ * table, so callers build or sweep their own from map().
+ *
+ * The pair also owns its access stream's run-length recording: the
+ * pair's first pass tees its source into one, and every later pass
+ * replays it (openStream/closeStream). Replays are byte-identical to
+ * the direct stream in everything the simulator reads.
  *
  * Construction reads exactly options.seed and options.footprint_scale
  * (via scaledWorkloadSpec / scenarioParamsFor); callers that cache pair
  * state across option sets key on those two fields plus the pair.
  *
- * This is the pair-state flavour the parallel sweep engine and the
- * serve-side cell scheduler share; ExperimentContext keeps its own
- * single-threaded incremental variant (PairState) for the serial path.
+ * This one type is the pair state of every executor: the parallel
+ * sweep engine and the serve-side cell scheduler share it directly,
+ * and ExperimentContext's serial cache wraps it with the in-place
+ * anchor table its Static Ideal sweep re-sweeps per distance.
  */
 class CellPairState
 {
@@ -211,7 +228,58 @@ class CellPairState
     /** THP table (THP / Cluster-2MB / RMM); built on first call. */
     const PageTable &thpTable() const;
 
+    /** One pass's access stream; see openStream(). */
+    struct Stream
+    {
+        /** Recorded passes only: the recording the tee fills. */
+        std::unique_ptr<RunRecording> recording;
+        std::unique_ptr<TraceSource> source;
+        StreamUse use = StreamUse::Direct;
+    };
+
+    /**
+     * The access stream of one pass under @p options (the stream
+     * makeCellTrace would open for this pair). A replay of the pair's
+     * recording when one of the same trace seed and length is
+     * published; otherwise the direct source, teed into a new recording
+     * when no pass of the pair has claimed one yet. A pass that starts
+     * while another is still recording streams directly, so thread
+     * interleaving never changes a result. Thread-safe.
+     */
+    Stream openStream(const SimOptions &options) const;
+
+    /**
+     * End the pass of @p stream after draining its source. A recorded
+     * stream's recording is published when it stayed within budget
+     * (RunRecording::budgetFor) and abandoned otherwise. Returns how
+     * the pass got its stream: Recorded, Replayed, or Direct (which
+     * includes an abandoned recording). Thread-safe.
+     */
+    StreamUse closeStream(Stream &stream) const;
+
+    /** Bytes of the published recording; 0 when none is published. */
+    std::size_t recordingBytes() const;
+
   private:
+    enum class RecordingState : std::uint8_t
+    {
+        None,      //!< no pass has claimed the recording yet
+        Recording, //!< a pass is teeing its stream
+        Kept,      //!< published; later passes replay it
+        Abandoned, //!< over budget; every pass streams directly
+    };
+
+    /** The pair's stream recording and its state, under m. */
+    struct StreamRecord
+    {
+        std::mutex m;
+        RecordingState state = RecordingState::None;
+        /** Trace seed and length of the recorded stream. */
+        std::uint64_t trace_seed = 0;
+        std::uint64_t accesses = 0;
+        std::shared_ptr<const RunRecording> recording;
+    };
+
     std::string workload_;
     ScenarioKind scenario_ = ScenarioKind::Demand;
     WorkloadSpec spec_;
@@ -221,7 +289,22 @@ class CellPairState
     mutable std::optional<PageTable> plain_table_;
     mutable std::once_flag thp_once_;
     mutable std::optional<PageTable> thp_table_;
+    mutable StreamRecord record_;
 };
+
+/**
+ * runSchemeCell for one pass of @p pair: the same cell, with its access
+ * stream from pair.openStream() — recorded by the pair's first pass,
+ * replayed by later ones — so results are byte-identical to the
+ * overload above. Sharded runs (shards > 1) stream directly. @p use,
+ * when non-null, receives how the pass got its stream. This is the cell
+ * body of ExperimentContext, the parallel sweep engine and the serve
+ * scheduler.
+ */
+SimResult runSchemeCell(const SimOptions &options, const CellPairState &pair,
+                        const PageTable &table, Scheme scheme,
+                        std::uint64_t anchor_distance,
+                        StreamUse *use = nullptr);
 
 /**
  * Content address of one experiment cell: the canonical FNV-1a digest
@@ -351,6 +434,12 @@ class ExperimentContext
         std::uint64_t result_lookups = 0;
         /** ... of which answered without simulating. */
         std::uint64_t result_hits = 0;
+        /** Simulation passes by how they got their access stream. */
+        std::uint64_t stream_recorded = 0;
+        std::uint64_t stream_replayed = 0;
+        std::uint64_t stream_direct = 0;
+        /** Bytes of the recordings the recorded passes kept. */
+        std::uint64_t recording_bytes = 0;
 
         double hitRate() const
         {
@@ -394,6 +483,7 @@ class ExperimentContext
                          ScenarioKind scenario);
     SimResult runScheme(PairState &state, Scheme scheme,
                         std::uint64_t anchor_distance);
+    void countStream(StreamUse use, const CellPairState &pair);
     SimResult runIdealSweep(PairState &state);
 };
 

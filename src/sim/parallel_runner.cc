@@ -50,8 +50,7 @@ runLeaf(const Leaf &leaf, const CellPairState &pair,
         // pool drains picks the canonical first minimum across ranks.
         const PageTable table = buildAnchorPageTable(
             pair.map(), AnchorDist::fromPages(leaf.ideal_distance));
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), table, Scheme::AnchorIdeal,
+        return runSchemeCell(options, pair, table, Scheme::AnchorIdeal,
                              leaf.ideal_distance);
     }
     CellJob job;
@@ -205,22 +204,19 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
     switch (job.scheme) {
       case Scheme::Base:
       case Scheme::Cluster:
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), pair.plainTable(), job.scheme,
+        return runSchemeCell(options, pair, pair.plainTable(), job.scheme,
                              0);
       case Scheme::Thp:
       case Scheme::Cluster2MB:
       case Scheme::Rmm:
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), pair.thpTable(), job.scheme, 0);
+        return runSchemeCell(options, pair, pair.thpTable(), job.scheme, 0);
       case Scheme::Anchor: {
         const std::uint64_t distance = job.distance_override
                                            ? *job.distance_override
                                            : pair.dynamicDistance();
         const PageTable table = buildAnchorPageTable(
             pair.map(), AnchorDist::fromPages(distance));
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), table, job.scheme, distance);
+        return runSchemeCell(options, pair, table, job.scheme, distance);
       }
       case Scheme::AnchorIdeal: {
         // Exhaustive distance sweep inside one job; the first minimum
@@ -233,9 +229,8 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         for (const std::uint64_t distance : distances) {
             const PageTable table = buildAnchorPageTable(
                 pair.map(), AnchorDist::fromPages(distance));
-            SimResult res = runSchemeCell(options, pair.spec(),
-                                          pair.scenario(), pair.map(),
-                                          table, job.scheme, distance);
+            SimResult res = runSchemeCell(options, pair, table, job.scheme,
+                                          distance);
             if (!have_best || res.misses() < best.misses()) {
                 best = std::move(res);
                 have_best = true;

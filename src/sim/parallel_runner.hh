@@ -12,14 +12,14 @@
  * to a serial run for any thread count (enforced by
  * tests/sim/test_parallel_runner.cc).
  *
- * Scheduling: expensive per-(workload, scenario) state — the mapping and
- * the plain/THP page tables — is built once per pair (by whichever
- * worker gets there first) and shared read-only by that pair's scheme
- * jobs; anchor jobs build their own distance-swept table from the shared
- * mapping since the sweep mutates the table. Leaves are enqueued in pair
- * order and each pair's state is freed when its last leaf completes, so
- * peak memory stays near (threads + 1) live pairs rather than the whole
- * grid.
+ * Scheduling: expensive per-(workload, scenario) state — the mapping,
+ * the plain/THP page tables and the recorded access stream — is built
+ * once per pair (by whichever worker gets there first) and shared by
+ * that pair's scheme jobs; anchor jobs build their own distance-swept
+ * table from the shared mapping since the sweep mutates the table.
+ * Leaves are enqueued in pair order and each pair's state is freed when
+ * its last leaf completes, so peak memory stays near (threads + 1) live
+ * pairs rather than the whole grid.
  */
 
 #ifndef ANCHORTLB_SIM_PARALLEL_RUNNER_HH

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mmu/anchor_mmu.hh"
+#include "mmu/baseline_mmu.hh"
 #include "mmu_test_util.hh"
 #include "os/table_builder.hh"
 
@@ -250,6 +251,45 @@ TEST_F(AnchorMmuTest, StatsBreakdownConsistent)
     EXPECT_EQ(s.l1_hits + s.l2_regular_hits + s.coalesced_hits +
                   s.page_walks,
               s.accesses);
+}
+
+TEST(AnchorMmuL1Fill, CoalescedHitUnderHugeLeafFillsL1FourK)
+{
+    // L1 fills depend on the scheme, not only on the leaf size: one
+    // 2MB-congruent run of two huge pages, covered by a single anchor
+    // at distance 1024. Page 512 sits under the second 2MB leaf.
+    MemoryMap m;
+    m.add(baseVpn, Ppn{0x40000}, PageCount{1024});
+    m.finalize();
+    const MmuConfig cfg;
+    const Vpn page = baseVpn + 512;
+
+    // Anchor: the walk of page 0 caches the anchor; page 512 then hits
+    // it (coalesced) and fills a 4KB L1 entry, so its neighbour 513
+    // misses L1 again.
+    const PageTable anchor_table =
+        buildAnchorPageTable(m, AnchorDist::fromPages(1024));
+    AnchorMmu anchor(cfg, anchor_table, AnchorDist::fromPages(1024));
+    EXPECT_EQ(anchor.translate(va(0)).size, PageSize::Huge2M);
+    const TranslationResult hit = anchor.translate(va(512));
+    EXPECT_EQ(hit.level, HitLevel::Coalesced);
+    EXPECT_NE(anchor.l1Tlb4K().probe(EntryKind::Page4K, pageKey(page)),
+              nullptr);
+    EXPECT_EQ(anchor.l1Tlb2M().probe(EntryKind::Page2M, hugeKey(page)),
+              nullptr);
+    EXPECT_EQ(anchor.translate(va(513)).level, HitLevel::Coalesced);
+
+    // THP baseline over the same leaves: the walk of page 512 fills a
+    // 2MB L1 entry that covers 513 too.
+    const PageTable thp_table = buildPageTable(m, true);
+    BaselineMmu thp(cfg, thp_table, "thp");
+    thp.translate(va(0));
+    EXPECT_EQ(thp.translate(va(512)).level, HitLevel::PageWalk);
+    EXPECT_EQ(thp.l1Tlb4K().probe(EntryKind::Page4K, pageKey(page)),
+              nullptr);
+    EXPECT_NE(thp.l1Tlb2M().probe(EntryKind::Page2M, hugeKey(page)),
+              nullptr);
+    EXPECT_EQ(thp.translate(va(513)).level, HitLevel::L1);
 }
 
 } // namespace
