@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "trace/profiler.hh"
@@ -32,6 +33,15 @@ struct ModelBand
      *  coverage); this is what separates coalescing winners from gups. */
     double anchor_reach_lo, anchor_reach_hi;
 };
+
+/** gtest prints GetParam() into each listed test name; without this it
+ *  dumps the struct bytes, whose `name` pointer moves with ASLR and
+ *  makes the listed names differ from one run to the next. */
+void
+PrintTo(const ModelBand &band, std::ostream *os)
+{
+    *os << band.name;
+}
 
 // Bands are deliberately wide: they encode the workload's *class*
 // (streaming / reuse-driven / uniform-random), not exact numbers.
