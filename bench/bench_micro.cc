@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) for the simulator's hot paths:
  * TLB lookups, MMU translation pipelines, buddy allocation, page-table
- * walks and anchor sweeps, trace generation, and distance selection.
+ * walks, table builds, clones and anchor sweeps, trace generation, and
+ * distance selection.
  */
 
 #include <benchmark/benchmark.h>
@@ -152,6 +153,32 @@ BM_SweepAnchors(benchmark::State &state)
         state.iterations() * map.mappedPages()));
 }
 BENCHMARK(BM_SweepAnchors)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+// Building a THP table from the map and cloning a built one, on the map
+// BM_SweepAnchors sweeps: the per-job cost of an anchor table is one
+// clone plus one sweep per distance (DESIGN.md section 7.5).
+void
+BM_PageTableBuild(benchmark::State &state)
+{
+    const MemoryMap map = benchMap(1 << 18);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildPageTable(map, true));
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * map.mappedPages()));
+}
+BENCHMARK(BM_PageTableBuild);
+
+void
+BM_PageTableClone(benchmark::State &state)
+{
+    const MemoryMap map = benchMap(1 << 18);
+    const PageTable table = buildPageTable(map, true);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(table.clone());
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * map.mappedPages()));
+}
+BENCHMARK(BM_PageTableClone);
 
 void
 BM_TraceGeneration(benchmark::State &state)

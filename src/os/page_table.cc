@@ -17,6 +17,18 @@ struct PageTable::Node
 {
     std::array<std::uint64_t, fanout> ents{};
     std::array<std::unique_ptr<Node>, fanout> kids{};
+
+    /** Deep copy of this subtree. */
+    std::unique_ptr<Node> clone() const
+    {
+        auto copy = std::make_unique<Node>();
+        copy->ents = ents;
+        for (unsigned i = 0; i < fanout; ++i) {
+            if (kids[i])
+                copy->kids[i] = kids[i]->clone();
+        }
+        return copy;
+    }
 };
 
 namespace
@@ -36,6 +48,19 @@ PageTable::PageTable() : root_(std::make_unique<Node>()), node_count_(1) {}
 PageTable::~PageTable() = default;
 PageTable::PageTable(PageTable &&) noexcept = default;
 PageTable &PageTable::operator=(PageTable &&) noexcept = default;
+
+PageTable
+PageTable::clone() const
+{
+    PageTable copy;
+    copy.root_ = root_->clone();
+    copy.mapped_4k_ = mapped_4k_;
+    copy.mapped_2m_ = mapped_2m_;
+    copy.mapped_1g_ = mapped_1g_;
+    copy.node_count_ = node_count_;
+    copy.swept_distance_ = swept_distance_;
+    return copy;
+}
 
 PageTable::Node *
 PageTable::ensurePath(Vpn vpn, unsigned leaf_level)

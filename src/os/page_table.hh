@@ -149,6 +149,15 @@ class PageTable
     PageTable(PageTable &&) noexcept;
     PageTable &operator=(PageTable &&) noexcept;
 
+    /**
+     * Deep copy: every node, entry (anchor bytes included), mapped
+     * count and the last swept distance. The copy shares nothing with
+     * this table, so it can be re-swept while this one is read
+     * concurrently. Copying stays explicit — the copy constructor is
+     * deleted so a table is never duplicated by accident.
+     */
+    PageTable clone() const;
+
     /** Map one 4KB page. Must not already be mapped. */
     void map4K(Vpn vpn, Ppn ppn);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "common/env.hh"
@@ -321,6 +320,49 @@ runSchemeCell(const SimOptions &options, const CellPairState &pair,
     return res;
 }
 
+std::vector<SimResult>
+runAnchorPasses(const SimOptions &options, const CellPairState &pair,
+                Scheme scheme, std::span<const std::uint64_t> distances,
+                StreamUse *uses)
+{
+    std::vector<SimResult> runs;
+    runs.reserve(distances.size());
+    // One private copy per job: the pair's THP table is shared by
+    // concurrent jobs, so the sweep must not touch it.
+    PageTable table = pair.thpTable().clone();
+    for (std::size_t i = 0; i < distances.size(); ++i) {
+        table.sweepAnchors(pair.map(), AnchorDist::fromPages(distances[i]));
+        runs.push_back(runSchemeCell(options, pair, table, scheme,
+                                     distances[i],
+                                     uses ? &uses[i] : nullptr));
+    }
+    return runs;
+}
+
+std::vector<RankChunk>
+idealRankChunks(unsigned threads, std::size_t candidates)
+{
+    const std::size_t n = std::clamp<std::size_t>(
+        threads, 1, std::max<std::size_t>(candidates, 1));
+    std::vector<RankChunk> chunks;
+    chunks.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        chunks.push_back({candidates * i / n, candidates * (i + 1) / n});
+    return chunks;
+}
+
+std::size_t
+firstMinimumRun(const std::vector<SimResult> &runs)
+{
+    ATLB_ASSERT(!runs.empty(), "no Static Ideal runs to reduce");
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+        if (runs[i].misses() < runs[best].misses())
+            best = i;
+    }
+    return best;
+}
+
 CellPairState::CellPairState(const SimOptions &options,
                              std::string workload, ScenarioKind scenario)
     : workload_(std::move(workload)), scenario_(scenario),
@@ -564,29 +606,31 @@ ExperimentContext::runScheme(PairState &state, Scheme scheme,
 SimResult
 ExperimentContext::runIdealSweep(PairState &state)
 {
-    // Oracle: exhaustively sweep every candidate distance, keep the run
-    // with the fewest misses (paper's "static ideal"). Candidates are
-    // independent cells, so with threads > 1 they run across a pool —
-    // each job builds its own anchor-swept table from the shared
-    // read-only mapping, and the reduction below walks candidates in
-    // their canonical order so ties resolve exactly as the serial loop.
+    // Oracle: exhaustively sweep every candidate distance, keep the
+    // first run with the fewest misses (paper's "static ideal"). One
+    // thread re-sweeps the pair's cached anchor table in place. With
+    // threads > 1 the candidates split into min(threads, 16) contiguous
+    // rank chunks across a pool, each sweeping its own clone of the
+    // pair's THP table. The reduction walks candidates in canonical
+    // order, so ties resolve the same for every thread count.
     const std::vector<std::uint64_t> distances = candidateDistances();
-    ATLB_ASSERT(!distances.empty(), "no candidate anchor distances");
+    const std::vector<RankChunk> chunks =
+        idealRankChunks(options_.threads, distances.size());
     std::vector<SimResult> runs(distances.size());
 
-    const unsigned threads = std::min<unsigned>(
-        options_.threads, static_cast<unsigned>(distances.size()));
-    if (threads > 1) {
+    if (chunks.size() > 1) {
         const CellPairState &pair = state.pair;
         std::vector<StreamUse> uses(distances.size());
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < distances.size(); ++i) {
-            pool.submit([this, &pair, &distances, &runs, &uses, i] {
-                const PageTable table = buildAnchorPageTable(
-                    pair.map(), AnchorDist::fromPages(distances[i]));
-                runs[i] = runSchemeCell(options_, pair, table,
-                                        Scheme::AnchorIdeal, distances[i],
-                                        &uses[i]);
+        ThreadPool pool(static_cast<unsigned>(chunks.size()));
+        for (const RankChunk &chunk : chunks) {
+            pool.submit([this, &pair, &distances, &runs, &uses, chunk] {
+                std::vector<SimResult> part = runAnchorPasses(
+                    options_, pair, Scheme::AnchorIdeal,
+                    std::span(distances).subspan(chunk.lo,
+                                                 chunk.hi - chunk.lo),
+                    &uses[chunk.lo]);
+                std::move(part.begin(), part.end(),
+                          runs.begin() + chunk.lo);
             });
         }
         pool.wait();
@@ -596,16 +640,7 @@ ExperimentContext::runIdealSweep(PairState &state)
         for (std::size_t i = 0; i < distances.size(); ++i)
             runs[i] = runScheme(state, Scheme::AnchorIdeal, distances[i]);
     }
-
-    std::size_t best = 0;
-    std::uint64_t best_misses = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].misses() < best_misses) {
-            best_misses = runs[i].misses();
-            best = i;
-        }
-    }
-    return runs[best];
+    return std::move(runs[firstMinimumRun(runs)]);
 }
 
 std::uint64_t

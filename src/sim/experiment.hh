@@ -23,8 +23,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "mmu/mmu_config.hh"
 #include "os/memory_map.hh"
@@ -192,7 +194,9 @@ enum class StreamUse : std::uint8_t
  * constructor; the plain/THP page-table flavours are built lazily on
  * first use (std::call_once, so concurrent readers share one build).
  * Anchor-swept tables are deliberately absent — the sweep mutates the
- * table, so callers build or sweep their own from map().
+ * table, so every anchor job clones thpTable() once and sweeps its
+ * private copy in place (runAnchorPasses, DESIGN.md §7.5), and
+ * ExperimentContext's serial path keeps its own re-swept table.
  *
  * The pair also owns its access stream's run-length recording: the
  * pair's first pass tees its source into one, and every later pass
@@ -206,7 +210,7 @@ enum class StreamUse : std::uint8_t
  * This one type is the pair state of every executor: the parallel
  * sweep engine and the serve-side cell scheduler share it directly,
  * and ExperimentContext's serial cache wraps it with the in-place
- * anchor table its Static Ideal sweep re-sweeps per distance.
+ * anchor table its single-threaded passes re-sweep per distance.
  */
 class CellPairState
 {
@@ -305,6 +309,44 @@ SimResult runSchemeCell(const SimOptions &options, const CellPairState &pair,
                         const PageTable &table, Scheme scheme,
                         std::uint64_t anchor_distance,
                         StreamUse *use = nullptr);
+
+/**
+ * The anchor-pass body of runCellJob, the parallel sweep engine and the
+ * threaded Static Ideal sweep (DESIGN.md §7.5): clone
+ * pair.thpTable() once, then for each of @p distances in order re-sweep
+ * the clone in place (PageTable::sweepAnchors) and run one @p scheme
+ * pass over it. Never rebuilds a table from the mapping. Returns one
+ * result per distance, in order; @p uses, when non-null, receives one
+ * StreamUse per distance. The clone is private to the call and the
+ * pair's THP table is only read, so concurrent calls may share @p pair.
+ */
+std::vector<SimResult>
+runAnchorPasses(const SimOptions &options, const CellPairState &pair,
+                Scheme scheme, std::span<const std::uint64_t> distances,
+                StreamUse *uses = nullptr);
+
+/** Half-open range [lo, hi) of Static Ideal candidate ranks. */
+struct RankChunk
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+};
+
+/**
+ * Split candidate ranks [0, @p candidates) into min(@p threads,
+ * @p candidates) contiguous chunks of near-equal size, in rank order
+ * (at least one chunk). Each chunk is one runAnchorPasses call, so a
+ * Static Ideal cell costs one table clone per chunk.
+ */
+std::vector<RankChunk> idealRankChunks(unsigned threads,
+                                       std::size_t candidates);
+
+/**
+ * Index of the first run with the fewest misses in @p runs (which must
+ * be non-empty and in canonical candidate order): the Static Ideal
+ * pick, with ties going to the lowest rank in every executor.
+ */
+std::size_t firstMinimumRun(const std::vector<SimResult> &runs);
 
 /**
  * Content address of one experiment cell: the canonical FNV-1a digest

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "os/distance_selector.hh"
-#include "os/table_builder.hh"
 
 namespace atlb
 {
@@ -27,48 +27,29 @@ struct PairSlot
     std::atomic<std::size_t> pending{0};
 };
 
-constexpr std::size_t noIdealRank = ~static_cast<std::size_t>(0);
-
-/** One simulation: a cell, or one AnchorIdeal distance candidate. */
+/**
+ * One pool job: a cell, or one contiguous chunk of an AnchorIdeal
+ * cell's candidate ranks (idealRankChunks).
+ */
 struct Leaf
 {
     std::size_t cell = 0; //!< index into the submitted job list
     std::size_t pair = 0; //!< index into the slot list
-    Scheme scheme = Scheme::Base;
-    std::optional<std::uint64_t> distance_override{};
-    /** AnchorIdeal only: candidate index and its distance. */
-    std::size_t ideal_rank = noIdealRank;
-    std::uint64_t ideal_distance = 0;
+    /** AnchorIdeal only: the candidate ranks this leaf sweeps. */
+    RankChunk ranks{};
 };
-
-SimResult
-runLeaf(const Leaf &leaf, const CellPairState &pair,
-        const SimOptions &options)
-{
-    if (leaf.ideal_rank != noIdealRank) {
-        // One AnchorIdeal distance candidate; the reduction after the
-        // pool drains picks the canonical first minimum across ranks.
-        const PageTable table = buildAnchorPageTable(
-            pair.map(), AnchorDist::fromPages(leaf.ideal_distance));
-        return runSchemeCell(options, pair, table, Scheme::AnchorIdeal,
-                             leaf.ideal_distance);
-    }
-    CellJob job;
-    job.workload = pair.workload();
-    job.scenario = pair.scenario();
-    job.scheme = leaf.scheme;
-    job.distance_override = leaf.distance_override;
-    return runCellJob(options, pair, job);
-}
 
 std::vector<SimResult>
 runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
             unsigned threads)
 {
-    // --- plan: one slot per distinct pair, one leaf per simulation ---
+    // --- plan: one slot per distinct pair, one leaf per cell or per
+    // --- AnchorIdeal rank chunk ---------------------------------------
     std::vector<std::unique_ptr<PairSlot>> slots;
     std::vector<Leaf> leaves;
     const std::vector<std::uint64_t> distances = candidateDistances();
+    const std::vector<RankChunk> chunks =
+        idealRankChunks(threads, distances.size());
 
     const auto slotFor = [&slots](const CellJob &job) {
         for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -84,25 +65,12 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
     };
 
     for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
-        const CellJob &job = jobs[cell];
-        const std::size_t pair = slotFor(job);
-        if (job.scheme == Scheme::AnchorIdeal) {
-            for (std::size_t r = 0; r < distances.size(); ++r) {
-                Leaf leaf;
-                leaf.cell = cell;
-                leaf.pair = pair;
-                leaf.scheme = job.scheme;
-                leaf.ideal_rank = r;
-                leaf.ideal_distance = distances[r];
-                leaves.push_back(leaf);
-            }
+        const std::size_t pair = slotFor(jobs[cell]);
+        if (jobs[cell].scheme == Scheme::AnchorIdeal) {
+            for (const RankChunk &ranks : chunks)
+                leaves.push_back({cell, pair, ranks});
         } else {
-            Leaf leaf;
-            leaf.cell = cell;
-            leaf.pair = pair;
-            leaf.scheme = job.scheme;
-            leaf.distance_override = job.distance_override;
-            leaves.push_back(leaf);
+            leaves.push_back({cell, pair, {}});
         }
     }
 
@@ -120,10 +88,9 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
     // --- execute -----------------------------------------------------
     std::vector<SimResult> out(jobs.size());
     std::vector<std::vector<SimResult>> ideal_runs(jobs.size());
-    for (const Leaf &leaf : leaves) {
-        if (leaf.ideal_rank != noIdealRank &&
-            ideal_runs[leaf.cell].empty())
-            ideal_runs[leaf.cell].resize(distances.size());
+    for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
+        if (jobs[cell].scheme == Scheme::AnchorIdeal)
+            ideal_runs[cell].resize(distances.size());
     }
 
     if (leaves.empty())
@@ -132,17 +99,24 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
     ThreadPool pool(static_cast<unsigned>(
         std::min<std::size_t>(threads, leaves.size())));
     for (const Leaf &leaf : leaves) {
-        pool.submit([&options, &slots, &out, &ideal_runs, leaf] {
+        pool.submit([&options, &jobs, &distances, &slots, &out,
+                     &ideal_runs, leaf] {
             PairSlot &slot = *slots[leaf.pair];
             std::call_once(slot.once, [&slot, &options] {
                 slot.shared = std::make_unique<CellPairState>(
                     options, slot.workload, slot.scenario);
             });
-            SimResult res = runLeaf(leaf, *slot.shared, options);
-            if (leaf.ideal_rank == noIdealRank)
-                out[leaf.cell] = std::move(res);
-            else
-                ideal_runs[leaf.cell][leaf.ideal_rank] = std::move(res);
+            const CellJob &job = jobs[leaf.cell];
+            if (job.scheme == Scheme::AnchorIdeal) {
+                std::vector<SimResult> part = runAnchorPasses(
+                    options, *slot.shared, job.scheme,
+                    std::span(distances).subspan(
+                        leaf.ranks.lo, leaf.ranks.hi - leaf.ranks.lo));
+                std::move(part.begin(), part.end(),
+                          ideal_runs[leaf.cell].begin() + leaf.ranks.lo);
+            } else {
+                out[leaf.cell] = runCellJob(options, *slot.shared, job);
+            }
             // Last leaf out frees the pair's mapping and tables.
             if (slot.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
                 slot.shared.reset();
@@ -153,15 +127,9 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
     // --- reduce AnchorIdeal cells in canonical candidate order so the
     // --- tie-break (first minimum wins) matches the serial sweep ------
     for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
-        if (ideal_runs[cell].empty())
-            continue;
-        std::size_t best = 0;
-        for (std::size_t r = 1; r < ideal_runs[cell].size(); ++r) {
-            if (ideal_runs[cell][r].misses() <
-                ideal_runs[cell][best].misses())
-                best = r;
-        }
-        out[cell] = std::move(ideal_runs[cell][best]);
+        if (!ideal_runs[cell].empty())
+            out[cell] = std::move(
+                ideal_runs[cell][firstMinimumRun(ideal_runs[cell])]);
     }
     return out;
 }
@@ -214,29 +182,17 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         const std::uint64_t distance = job.distance_override
                                            ? *job.distance_override
                                            : pair.dynamicDistance();
-        const PageTable table = buildAnchorPageTable(
-            pair.map(), AnchorDist::fromPages(distance));
-        return runSchemeCell(options, pair, table, job.scheme, distance);
+        return std::move(
+            runAnchorPasses(options, pair, job.scheme, {&distance, 1})
+                .front());
       }
       case Scheme::AnchorIdeal: {
-        // Exhaustive distance sweep inside one job; the first minimum
-        // in canonical candidate order wins, matching both the serial
-        // sweep and the parallel engine's reduction.
-        const std::vector<std::uint64_t> distances = candidateDistances();
-        ATLB_ASSERT(!distances.empty(), "no candidate anchor distances");
-        SimResult best;
-        bool have_best = false;
-        for (const std::uint64_t distance : distances) {
-            const PageTable table = buildAnchorPageTable(
-                pair.map(), AnchorDist::fromPages(distance));
-            SimResult res = runSchemeCell(options, pair, table, job.scheme,
-                                          distance);
-            if (!have_best || res.misses() < best.misses()) {
-                best = std::move(res);
-                have_best = true;
-            }
-        }
-        return best;
+        // Exhaustive distance sweep on one table inside one job; the
+        // first minimum in canonical candidate order wins, matching
+        // both the serial sweep and the parallel engine's reduction.
+        std::vector<SimResult> runs = runAnchorPasses(
+            options, pair, job.scheme, candidateDistances());
+        return std::move(runs[firstMinimumRun(runs)]);
       }
     }
     ATLB_FATAL("unhandled scheme in cell job");

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "os/distance_selector.hh"
 #include "os/memory_map.hh"
 #include "os/page_table.hh"
+#include "os/scenario.hh"
 #include "os/table_builder.hh"
 
 namespace atlb
@@ -135,6 +140,93 @@ TEST(PageTable, MoveSemantics)
     t.map4K(base, Ppn{1});
     PageTable u = std::move(t);
     EXPECT_TRUE(u.walk(base).present);
+}
+
+/** Every page of every chunk of @p m. */
+std::vector<Vpn>
+mappedVpns(const MemoryMap &m)
+{
+    std::vector<Vpn> out;
+    for (const Chunk &c : m.chunks())
+        for (Vpn v = c.vpn; v < c.vpnEnd(); ++v)
+            out.push_back(v);
+    return out;
+}
+
+/** Every VPN of @p m a sweep at @p d visits (aligned, inside a chunk). */
+std::vector<Vpn>
+anchorVpns(const MemoryMap &m, AnchorDist d)
+{
+    std::vector<Vpn> out;
+    for (const Chunk &c : m.chunks())
+        for (Vpn v = c.vpn.alignUp(d.pages()); v < c.vpnEnd();
+             v += d.pages())
+            out.push_back(v);
+    return out;
+}
+
+void
+expectSameWalks(const PageTable &a, const PageTable &b,
+                const std::vector<Vpn> &vpns)
+{
+    for (const Vpn v : vpns) {
+        const WalkResult wa = a.walk(v);
+        const WalkResult wb = b.walk(v);
+        ASSERT_EQ(wa.present, wb.present) << "vpn " << v.raw();
+        ASSERT_EQ(wa.ppn, wb.ppn) << "vpn " << v.raw();
+        ASSERT_EQ(wa.size, wb.size) << "vpn " << v.raw();
+        ASSERT_EQ(wa.levels, wb.levels) << "vpn " << v.raw();
+    }
+}
+
+void
+expectSameCounts(const PageTable &a, const PageTable &b)
+{
+    EXPECT_EQ(a.mapped4K(), b.mapped4K());
+    EXPECT_EQ(a.mapped2M(), b.mapped2M());
+    EXPECT_EQ(a.mapped1G(), b.mapped1G());
+    EXPECT_EQ(a.nodeCount(), b.nodeCount());
+}
+
+TEST(PageTable, CloneIsDeepAndIndependent)
+{
+    // A 2MB-eligible run plus a short 4KB tail and a separate chunk.
+    MemoryMap m;
+    m.add(base, Ppn{512 * 8}, PageCount{512 * 3 + 40});
+    m.add(base + 4096, Ppn{70001}, PageCount{300});
+    m.finalize();
+    PageTable src = buildPageTable(m, true);
+    src.sweepAnchors(m, dist(1024));
+    const std::vector<Vpn> before = anchorVpns(m, dist(1024));
+    std::vector<std::uint64_t> src_contig;
+    for (const Vpn v : before)
+        src_contig.push_back(src.anchorContiguity(v, dist(1024)));
+
+    PageTable copy = src.clone();
+    expectSameCounts(src, copy);
+    expectSameWalks(src, copy, mappedVpns(m));
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(copy.anchorContiguity(before[i], dist(1024)),
+                  src_contig[i]);
+
+    // Re-sweeping the copy must leave the source untouched, and must
+    // clear the source's distance-1024 anchors (the last swept distance
+    // travels with the copy) exactly as a fresh table would.
+    copy.sweepAnchors(m, dist(16));
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(src.anchorContiguity(before[i], dist(1024)),
+                  src_contig[i]);
+    const PageTable fresh = buildAnchorPageTable(m, dist(16));
+    for (const Vpn v : before) {
+        EXPECT_EQ(copy.anchorContiguity(v, dist(1024)),
+                  fresh.anchorContiguity(v, dist(1024)))
+            << "vpn " << v.raw();
+    }
+    for (const Vpn v : anchorVpns(m, dist(16)))
+        EXPECT_EQ(copy.anchorContiguity(v, dist(16)),
+                  fresh.anchorContiguity(v, dist(16)));
+    expectSameCounts(src, copy);
+    expectSameWalks(src, copy, mappedVpns(m));
 }
 
 class AnchorEncoding
@@ -267,6 +359,64 @@ TEST(PageTableAnchor, SweepCountGrowsWithSmallerDistance)
     PageTable t2 = buildPageTable(m, false);
     const std::uint64_t small = t2.sweepAnchors(m, dist(8));
     EXPECT_GT(small, big * 32);
+}
+
+TEST(PageTableAnchor, InPlaceSweepMatchesFreshBuild)
+{
+    // One THP table per scenario, cloned once per order and re-swept in
+    // place through every candidate distance; after each sweep it must
+    // read exactly like a table built fresh at that distance.
+    const std::vector<std::uint64_t> ascending = candidateDistances();
+    std::vector<std::uint64_t> descending(ascending.rbegin(),
+                                          ascending.rend());
+    std::vector<std::uint64_t> shuffled = ascending;
+    Rng rng(7919);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.nextBounded(i)]);
+    const std::vector<std::vector<std::uint64_t>> orders = {
+        ascending, descending, shuffled};
+
+    std::uint64_t huge_anchors = 0;
+    for (const ScenarioKind kind : allScenarios) {
+        SCOPED_TRACE(scenarioName(kind));
+        ScenarioParams p;
+        p.footprint_pages = 24 * 1024;
+        p.seed = 11;
+        p.demand_run_pages = 2048;
+        p.eager_run_pages = 2048;
+        const MemoryMap m = buildScenario(kind, p);
+        const std::vector<Vpn> vpns = mappedVpns(m);
+        const PageTable thp = buildPageTable(m, true);
+
+        std::vector<PageTable> fresh;
+        for (const std::uint64_t d : ascending)
+            fresh.push_back(buildAnchorPageTable(m, dist(d)));
+
+        for (const std::vector<std::uint64_t> &order : orders) {
+            PageTable table = thp.clone();
+            for (const std::uint64_t d : order) {
+                SCOPED_TRACE(d);
+                table.sweepAnchors(m, dist(d));
+                const std::size_t rank = static_cast<std::size_t>(
+                    std::find(ascending.begin(), ascending.end(), d) -
+                    ascending.begin());
+                const PageTable &want = fresh[rank];
+                expectSameCounts(table, want);
+                expectSameWalks(table, want, vpns);
+                for (const Vpn v : anchorVpns(m, dist(d))) {
+                    ASSERT_EQ(table.anchorContiguity(v, dist(d)),
+                              want.anchorContiguity(v, dist(d)))
+                        << "anchor vpn " << v.raw();
+                    if (d >= hugePages &&
+                        want.walk(v).size == PageSize::Huge2M &&
+                        want.anchorContiguity(v, dist(d)) != 0)
+                        ++huge_anchors;
+                }
+            }
+        }
+    }
+    // The maps must exercise PD-level (2MB leaf) anchors too.
+    EXPECT_GT(huge_anchors, 0u);
 }
 
 class PageTableErrors : public ::testing::Test

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "os/distance_selector.hh"
 #include "sim/parallel_runner.hh"
 
 namespace atlb
@@ -60,6 +62,8 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.stats.coalesced_hits, b.stats.coalesced_hits);
     EXPECT_EQ(a.stats.page_walks, b.stats.page_walks);
     EXPECT_EQ(a.stats.translation_cycles, b.stats.translation_cycles);
+    EXPECT_EQ(a.stats.shootdowns, b.stats.shootdowns);
+    EXPECT_EQ(a.stats.shootdown_cycles, b.stats.shootdown_cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.l2_hit_cycles, b.l2_hit_cycles);
     EXPECT_EQ(a.coalesced_cycles, b.coalesced_cycles);
@@ -145,6 +149,84 @@ TEST(ParallelRunner, EmptyJobListYieldsEmptyResults)
 {
     ParallelRunner parallel(quickOptions(8));
     EXPECT_TRUE(parallel.run({}).empty());
+}
+
+TEST(ParallelRunner, IdealChunksMatchSerial)
+{
+    // Full 7-scheme rows on two pairs. sphinx3 x medium has a 12-way
+    // tie at the fewest Static Ideal misses; mcf x low a 2-way one.
+    // Every thread count splits the 16 candidates into different rank
+    // chunks (17 clamps to 16 chunks of one), and every split must
+    // still pick the serial first minimum.
+    const std::vector<std::pair<std::string, ScenarioKind>> pairs = {
+        {"sphinx3", ScenarioKind::MedContig},
+        {"mcf", ScenarioKind::LowContig},
+    };
+    std::vector<CellJob> jobs;
+    for (const auto &[workload, scenario] : pairs)
+        for (const Scheme scheme : allSchemes)
+            jobs.push_back({workload, scenario, scheme, {}});
+
+    const std::vector<std::uint64_t> distances = candidateDistances();
+    ExperimentContext serial(quickOptions(1));
+    std::vector<SimResult> expect;
+    for (const CellJob &job : jobs) {
+        expect.push_back(serial.run(job.workload, job.scenario, job.scheme,
+                                    job.distance_override));
+        if (job.scheme != Scheme::AnchorIdeal)
+            continue;
+        // The tie must really be there for the check to mean anything.
+        const CellPairState pair(quickOptions(1), job.workload,
+                                 job.scenario);
+        const std::vector<SimResult> runs = runAnchorPasses(
+            quickOptions(1), pair, Scheme::AnchorIdeal, distances);
+        const auto fewer = [](const SimResult &a, const SimResult &b) {
+            return a.misses() < b.misses();
+        };
+        // min_element returns the first of equal minima.
+        const auto best = std::min_element(runs.begin(), runs.end(), fewer);
+        const auto ties = std::count_if(
+            runs.begin(), runs.end(), [&](const SimResult &r) {
+                return r.misses() == best->misses();
+            });
+        EXPECT_GE(ties, 2) << job.workload;
+        EXPECT_EQ(expect.back().anchor_distance,
+                  distances[static_cast<std::size_t>(best - runs.begin())])
+            << job.workload;
+    }
+
+    for (const unsigned threads : {2u, 3u, 5u, 16u, 17u}) {
+        SCOPED_TRACE(threads);
+        const std::vector<SimResult> results =
+            ParallelRunner(quickOptions(threads)).run(jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        ExperimentContext ctx(quickOptions(threads));
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE(jobs[i].workload + "/" +
+                         schemeName(jobs[i].scheme));
+            expectIdentical(expect[i], results[i]);
+            expectIdentical(expect[i],
+                            ctx.run(jobs[i].workload, jobs[i].scenario,
+                                    jobs[i].scheme,
+                                    jobs[i].distance_override));
+        }
+    }
+}
+
+TEST(ParallelRunner, IdealRankChunksAreContiguousAndBalanced)
+{
+    for (const unsigned threads : {0u, 1u, 2u, 3u, 5u, 16u, 17u}) {
+        const std::vector<RankChunk> chunks = idealRankChunks(threads, 16);
+        ASSERT_EQ(chunks.size(), std::clamp(threads, 1u, 16u));
+        std::size_t next = 0;
+        for (const RankChunk &chunk : chunks) {
+            EXPECT_EQ(chunk.lo, next);
+            EXPECT_GE(chunk.hi - chunk.lo, 16 / chunks.size());
+            EXPECT_LE(chunk.hi - chunk.lo, 16 / chunks.size() + 1);
+            next = chunk.hi;
+        }
+        EXPECT_EQ(next, 16u);
+    }
 }
 
 TEST(ParallelRunner, RepeatedParallelRunsAreStable)
