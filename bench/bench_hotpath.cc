@@ -20,6 +20,15 @@
  * with no vector level the double measurement is skipped and the
  * ratios record 1.0.
  *
+ * Replay cells: wherever the cell's stream keeps its run-length
+ * recording (the mcf cells), each scheme also replays that recording
+ * twice — run by run through Mmu::translateRuns, the production replay
+ * path, and expanded access by access through RecordingReplay into
+ * translateBatch, the reference replay — both fatally checked against
+ * the per-access MmuStats. `replay_runs_vs_batched` is the speedup of
+ * the former, and the gate `"replay_runs_at_least_batched": true`
+ * requires it >= 1.0 aggregated over the replay cells.
+ *
  * Results go to BENCH_hotpath.json (or argv[1]). The CI gates are
  * machine-independent: `"batched_at_least_serial": true` requires
  * ratio >= 1.0 for every scheme, `"simd_at_least_scalar": true` the
@@ -65,6 +74,7 @@
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
 #include "stats/json_writer.hh"
+#include "trace/run_recording.hh"
 #include "trace/workload.hh"
 
 namespace
@@ -88,10 +98,18 @@ struct CellTimes
     double serial_seconds = 0.0;
     double batched_seconds = 0.0;
     double batched_scalar_seconds = 0.0;
+    /** Replay cells only (replay_runs_seconds > 0). */
+    double replay_batched_seconds = 0.0;
+    double replay_runs_seconds = 0.0;
     std::uint64_t accesses = 0;
     std::uint64_t l0_filtered = 0;
 
     double ratio() const { return serial_seconds / batched_seconds; }
+    bool replayed() const { return replay_runs_seconds > 0.0; }
+    double replayRatio() const
+    {
+        return replay_batched_seconds / replay_runs_seconds;
+    }
     double simdRatio() const
     {
         return batched_scalar_seconds / batched_seconds;
@@ -130,6 +148,8 @@ struct CellState
     PageTable region_table;
     RegionPartition partition;
     std::uint64_t anchor_distance = 0;
+    /** The stream's recording; null when it overran its budget. */
+    std::shared_ptr<const RunRecording> recording;
 
     CellState(const SimOptions &opts, const std::string &workload)
         : map(buildScenario(ScenarioKind::MedContig,
@@ -158,6 +178,12 @@ struct CellState
             ATLB_ASSERT(n > 0, "trace ended early");
             filled += n;
         }
+        auto rec = std::make_shared<RunRecording>(
+            RunRecording::budgetFor(stream.size()));
+        rec->append(stream.data(), stream.size());
+        rec->finish();
+        if (!rec->abandoned())
+            recording = std::move(rec);
     }
 
     std::unique_ptr<Mmu> makeMmu(const std::string &scheme,
@@ -216,6 +242,10 @@ measureCell(const std::string &workload, const CellState &cell,
     t.serial_seconds = std::numeric_limits<double>::infinity();
     t.batched_seconds = std::numeric_limits<double>::infinity();
     t.batched_scalar_seconds = std::numeric_limits<double>::infinity();
+    if (cell.recording) {
+        t.replay_batched_seconds = std::numeric_limits<double>::infinity();
+        t.replay_runs_seconds = std::numeric_limits<double>::infinity();
+    }
 
     for (unsigned rep = 0; rep < reps; ++rep) {
         MmuStats serial_stats;
@@ -271,6 +301,39 @@ measureCell(const std::string &workload, const CellState &cell,
             t.batched_scalar_seconds = t.batched_seconds;
         }
 
+        if (cell.recording) {
+            // The expanded replay: RecordingReplay into translateBatch.
+            const std::unique_ptr<Mmu> expanded = cell.makeMmu(scheme, cfg);
+            BatchStats ebs;
+            auto start = std::chrono::steady_clock::now();
+            RecordingReplay replay(cell.recording);
+            constexpr std::size_t batch = 1024;
+            MemAccess buffer[batch];
+            while (const std::size_t n = replay.fill(buffer, batch))
+                expanded->translateBatch(buffer, n, ebs);
+            t.replay_batched_seconds =
+                std::min(t.replay_batched_seconds, secondsOf(start));
+
+            // The run-native replay, in runSimulation's word blocks.
+            const std::unique_ptr<Mmu> runs = cell.makeMmu(scheme, cfg);
+            BatchStats rbs;
+            const std::vector<std::uint64_t> &words =
+                cell.recording->words();
+            start = std::chrono::steady_clock::now();
+            constexpr std::size_t block = 1024;
+            for (std::size_t i = 0; i < words.size(); i += block) {
+                runs->translateRuns(words.data() + i,
+                                    std::min(block, words.size() - i), rbs);
+            }
+            t.replay_runs_seconds =
+                std::min(t.replay_runs_seconds, secondsOf(start));
+            if (!statsEqual(expanded->stats(), serial_stats) ||
+                !statsEqual(runs->stats(), serial_stats))
+                ATLB_FATAL("{}/{}: a replay diverged from the per-access "
+                           "loop",
+                           workload, scheme);
+        }
+
         if (rep == 0) {
             t.accesses = serial_stats.accesses;
             t.l0_filtered = bs.l0_filtered;
@@ -314,6 +377,11 @@ emitJson(const std::string &path, const SimOptions &opts,
         json.field("l0_filtered_fraction",
                    static_cast<double>(t.l0_filtered) /
                        static_cast<double>(t.accesses));
+        if (t.replayed()) {
+            json.field("replay_batched_seconds", t.replay_batched_seconds);
+            json.field("replay_runs_seconds", t.replay_runs_seconds);
+            json.field("replay_runs_vs_batched", t.replayRatio());
+        }
         json.endObject();
     }
     json.endObject();
@@ -381,6 +449,21 @@ emitJson(const std::string &path, const SimOptions &opts,
     json.field("simd_gups_speedup_ok", !vector || gups_floor >= 1.3);
     json.field("mcf_simd_vs_scalar_floor", mcf_floor);
     json.field("simd_mcf_speedup_ok", !vector || mcf_floor >= 1.05);
+    // Run-native replay over expanded replay, aggregated over every
+    // replay cell for the same reason as the gates above; false when
+    // no cell kept its recording (then nothing was compared).
+    double replay_batched = 0.0;
+    double replay_runs = 0.0;
+    for (const CellTimes &t : times) {
+        if (!t.replayed())
+            continue;
+        replay_batched += t.replay_batched_seconds;
+        replay_runs += t.replay_runs_seconds;
+    }
+    const double replay_ratio =
+        replay_runs > 0.0 ? replay_batched / replay_runs : 0.0;
+    json.field("replay_runs_vs_batched", replay_ratio);
+    json.field("replay_runs_at_least_batched", replay_ratio >= 1.0);
     json.endObject();
 }
 
@@ -416,7 +499,12 @@ main(int argc, char **argv)
                       << "x (L0 filtered "
                       << 100.0 * static_cast<double>(t.l0_filtered) /
                              static_cast<double>(t.accesses)
-                      << "%)\n";
+                      << "%)";
+            if (t.replayed())
+                std::cout << ", replay runs " << t.replay_runs_seconds
+                          << " s vs expanded " << t.replay_batched_seconds
+                          << " s (" << t.replayRatio() << "x)";
+            std::cout << "\n";
         }
     }
 

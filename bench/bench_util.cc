@@ -121,7 +121,10 @@ printSweepSummary(const ExperimentContext &ctx)
         std::cerr << ", " << ctx.options().shards << " shards/cell";
     std::cerr << "; streams " << c.stream_recorded << " recorded ("
               << c.recording_bytes / 1024 << " KB) / " << c.stream_replayed
-              << " replayed / " << c.stream_direct << " direct\n";
+              << " replayed / " << c.stream_direct << " direct"
+              << "; static ideal " << c.ideal_passes_stopped
+              << " passes stopped, " << c.ideal_accesses_skipped
+              << " accesses skipped\n";
 }
 
 void

@@ -1,9 +1,12 @@
 #include "mmu.hh"
 
+#include <algorithm>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "os/page_table.hh"
+#include "trace/run_recording.hh"
 
 namespace atlb
 {
@@ -112,6 +115,71 @@ Mmu::translateBatch(const MemAccess *accesses, std::size_t n,
         translate(accesses[i].vaddr);
     batch.accesses += stats_.accesses - accesses_before;
     batch.l1_hits += stats_.l1_hits - hits_before;
+}
+
+void
+Mmu::translateRuns(const std::uint64_t *words, std::size_t n,
+                   BatchStats &batch)
+{
+#ifdef ANCHORTLB_CHECKED
+    // Per access, like the checked translateBatch: the oracle re-walks
+    // every access, and nothing is filtered.
+    const std::uint64_t accesses_before = stats_.accesses;
+    const std::uint64_t hits_before = stats_.l1_hits;
+    for (std::size_t i = 0; i < n; ++i) {
+        const VirtAddr va = vaOf(RunRecording::wordVpn(words[i]));
+        for (std::uint64_t k = RunRecording::wordLength(words[i]); k > 0;
+             --k)
+            translate(va);
+    }
+    batch.accesses += stats_.accesses - accesses_before;
+    batch.l1_hits += stats_.l1_hits - hits_before;
+#else
+    std::uint64_t n_accesses = 0;
+    std::uint64_t n_hits = 0;
+    std::uint64_t n_filtered = 0;
+    Vpn last_vpn = invalidVpn;
+    bool have_last = l0FilterLoad(last_vpn);
+    const std::size_t warm = std::min(n, kBatchPrefetchDistance);
+    for (std::size_t i = 0; i < warm; ++i)
+        prefetchTranslate(RunRecording::wordVpn(words[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kBatchPrefetchDistance < n)
+            prefetchTranslate(
+                RunRecording::wordVpn(words[i + kBatchPrefetchDistance]));
+        const Vpn vpn = RunRecording::wordVpn(words[i]);
+        const std::uint64_t len = RunRecording::wordLength(words[i]);
+        n_accesses += len;
+        if (have_last && vpn == last_vpn) {
+            // A run split across words, or the page the previous
+            // block ended on: the whole run is the filter's.
+            n_hits += len;
+            n_filtered += len;
+            continue;
+        }
+        last_vpn = vpn;
+        have_last = true;
+        // The run's first access probes; the rest are filtered.
+        n_hits += len - 1;
+        n_filtered += len - 1;
+        if (l1_4k_.lookup(EntryKind::Page4K, pageKey(vpn)) != nullptr) {
+            ++n_hits;
+            continue;
+        }
+        if (l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn)) != nullptr) {
+            ++n_hits;
+            continue;
+        }
+        noteMiss(vpn, translateL2(vpn));
+    }
+    stats_.accesses += n_accesses;
+    stats_.l1_hits += n_hits;
+    batch.accesses += n_accesses;
+    batch.l1_hits += n_hits;
+    batch.l0_filtered += n_filtered;
+    if (n > 0 && have_last)
+        l0FilterStore(last_vpn);
+#endif
 }
 
 void

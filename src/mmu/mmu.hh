@@ -251,6 +251,30 @@ class Mmu
     virtual void translateBatch(const MemAccess *accesses, std::size_t n,
                                 BatchStats &batch);
 
+    /**
+     * Translate a block of @p n RunRecording words in stream order:
+     * each word is a run of RunRecording::wordLength (>= 1) accesses
+     * to one page. Counter-identical to translateBatch over the
+     * expanded stream — the same lookup and fill sequence, the same
+     * MmuStats, BatchStats and L1 TlbStats — because a run is exactly
+     * what the batch kernel's L0 filter collapses:
+     *
+     *  - a run on the carried L0 page (l0FilterLoad, or the previous
+     *    run) adds len filtered hits and probes nothing;
+     *  - any other run makes one L1 4K probe, then one L1 2M probe,
+     *    then noteMiss(vpn, translateL2(vpn)), and adds len - 1
+     *    filtered hits.
+     *
+     * The translate path is prefetched kBatchPrefetchDistance runs
+     * ahead. Non-virtual: the scheme pipeline is reached through the
+     * translateL2 virtual once per probe, as in the vector kernel.
+     * Checked builds translate() every access so the oracle still
+     * sees each one. The replay path of runSimulation's recording
+     * overload (DESIGN.md §7.4).
+     */
+    void translateRuns(const std::uint64_t *words, std::size_t n,
+                       BatchStats &batch);
+
     /** Invalidate all TLB state (context switch / shootdown). */
     virtual void flushAll();
 

@@ -246,6 +246,9 @@ class PageTable
                                     AnchorDist distance, Vpn begin,
                                     Vpn end);
 
+    /** Distance of the most recent sweepAnchors (none() = never). */
+    AnchorDist sweptDistance() const { return swept_distance_; }
+
     /** Count of present 4KB leaf entries. */
     std::uint64_t mapped4K() const { return mapped_4k_; }
 

@@ -1,8 +1,10 @@
 #include "experiment.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "common/env.hh"
@@ -255,18 +257,27 @@ buildSchemeMmu(const MmuConfig &config, const PageTable &table,
 namespace
 {
 
-/** The cell body shared by both runSchemeCell overloads. */
+/**
+ * The cell body shared by both runSchemeCell overloads: one pass of
+ * @p trace, or run by run over @p replay when it is set and the pass
+ * runs in batch mode.
+ */
 SimResult
 simulateCell(const SimOptions &options, const WorkloadSpec &spec,
              ScenarioKind scenario, const MemoryMap &map,
              const PageTable &table, Scheme scheme,
-             std::uint64_t anchor_distance, TraceSource &trace)
+             std::uint64_t anchor_distance, TraceSource &trace,
+             const RunRecording *replay = nullptr,
+             std::optional<std::uint64_t> walk_bound = {})
 {
     const std::unique_ptr<Mmu> mmu =
         buildSchemeMmu(options.mmu, table, map, scheme, anchor_distance);
 
-    SimResult res = runSimulation(*mmu, trace, spec.mem_per_instr,
-                                  options.translate_mode);
+    SimResult res =
+        replay && options.translate_mode == TranslateMode::Batch
+            ? runSimulation(*mmu, *replay, spec.mem_per_instr, walk_bound)
+            : runSimulation(*mmu, trace, spec.mem_per_instr,
+                            options.translate_mode, nullptr, walk_bound);
     res.workload = spec.name;
     res.scenario = scenarioName(scenario);
     res.scheme = schemeName(scheme);
@@ -301,7 +312,8 @@ runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
 SimResult
 runSchemeCell(const SimOptions &options, const CellPairState &pair,
               const PageTable &table, Scheme scheme,
-              std::uint64_t anchor_distance, StreamUse *use)
+              std::uint64_t anchor_distance, StreamUse *use,
+              std::optional<std::uint64_t> walk_bound)
 {
     if (options.shards > 1) {
         if (use)
@@ -311,32 +323,70 @@ runSchemeCell(const SimOptions &options, const CellPairState &pair,
     }
 
     CellPairState::Stream stream = pair.openStream(options);
+    // The recording pass must see the whole stream: the recording it
+    // publishes is every later pass's stream.
+    if (stream.use == StreamUse::Recorded)
+        walk_bound.reset();
     SimResult res = simulateCell(options, pair.spec(), pair.scenario(),
-                                 pair.map(), table, scheme,
-                                 anchor_distance, *stream.source);
+                                 pair.map(), table, scheme, anchor_distance,
+                                 *stream.source, stream.replay.get(),
+                                 walk_bound);
     const StreamUse used = pair.closeStream(stream);
     if (use)
         *use = used;
     return res;
 }
 
-std::vector<SimResult>
-runAnchorPasses(const SimOptions &options, const CellPairState &pair,
-                Scheme scheme, std::span<const std::uint64_t> distances,
-                StreamUse *uses)
+namespace
 {
-    std::vector<SimResult> runs;
-    runs.reserve(distances.size());
-    // One private copy per job: the pair's THP table is shared by
-    // concurrent jobs, so the sweep must not touch it.
-    PageTable table = pair.thpTable().clone();
-    for (std::size_t i = 0; i < distances.size(); ++i) {
-        table.sweepAnchors(pair.map(), AnchorDist::fromPages(distances[i]));
-        runs.push_back(runSchemeCell(options, pair, table, scheme,
-                                     distances[i],
-                                     uses ? &uses[i] : nullptr));
+
+/**
+ * runAnchorPasses' visit order over @p distances: the indices sorted
+ * by rank distance from @p dynamic's rung of the candidate ladder, the
+ * lower rank first on ties.
+ */
+std::vector<std::size_t>
+visitOrder(std::span<const std::uint64_t> distances, std::uint64_t dynamic)
+{
+    const auto rungsAway = [dynamic](std::uint64_t distance) {
+        const int away = static_cast<int>(std::bit_width(distance)) -
+                         static_cast<int>(std::bit_width(dynamic));
+        return away < 0 ? -away : away;
+    };
+    std::vector<std::size_t> order(distances.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rungsAway(distances[a]) <
+                                rungsAway(distances[b]);
+                     });
+    return order;
+}
+
+} // namespace
+
+std::vector<AnchorPass>
+runAnchorPasses(const SimOptions &options, const CellPairState &pair,
+                PageTable &table, Scheme scheme,
+                std::span<const std::uint64_t> distances)
+{
+    const std::uint64_t accesses = cellAccesses(options, pair.spec());
+    std::vector<AnchorPass> passes(distances.size());
+    std::optional<std::uint64_t> bound;
+    for (const std::size_t i : visitOrder(distances, pair.dynamicDistance())) {
+        const AnchorDist distance = AnchorDist::fromPages(distances[i]);
+        if (table.sweptDistance() != distance)
+            table.sweepAnchors(pair.map(), distance);
+        AnchorPass &pass = passes[i];
+        SimResult res = runSchemeCell(options, pair, table, scheme,
+                                      distances[i], &pass.use, bound);
+        pass.skipped = accesses - res.stats.accesses;
+        if (bound && res.misses() > *bound)
+            continue;
+        bound = res.misses();
+        pass.result = std::move(res);
     }
-    return runs;
+    return passes;
 }
 
 std::vector<RankChunk>
@@ -352,15 +402,17 @@ idealRankChunks(unsigned threads, std::size_t candidates)
 }
 
 std::size_t
-firstMinimumRun(const std::vector<SimResult> &runs)
+firstMinimumRun(const std::vector<AnchorPass> &passes)
 {
-    ATLB_ASSERT(!runs.empty(), "no Static Ideal runs to reduce");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-        if (runs[i].misses() < runs[best].misses())
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+        if (passes[i].result &&
+            (!best || passes[i].result->misses() <
+                          passes[*best].result->misses()))
             best = i;
     }
-    return best;
+    ATLB_ASSERT(best.has_value(), "no finished Static Ideal pass");
+    return *best;
 }
 
 CellPairState::CellPairState(const SimOptions &options,
@@ -409,6 +461,7 @@ CellPairState::openStream(const SimOptions &options) const
           case RecordingState::Kept:
             if (record_.trace_seed == trace_seed &&
                 record_.accesses == accesses) {
+                stream.replay = record_.recording;
                 stream.source =
                     std::make_unique<RecordingReplay>(record_.recording);
                 stream.use = StreamUse::Replayed;
@@ -459,7 +512,7 @@ CellPairState::recordingBytes() const
 /**
  * One cached pair: the shared pair state (mapping, plain/THP tables,
  * stream recording) plus the serial path's anchor table, which
- * runScheme re-sweeps in place for each distance.
+ * runScheme and runIdealSweep re-sweep in place for each distance.
  */
 struct ExperimentContext::PairState
 {
@@ -471,7 +524,6 @@ struct ExperimentContext::PairState
 
     CellPairState pair;
     std::optional<PageTable> anchor_table;
-    std::uint64_t anchor_table_distance = 0;
 };
 
 ExperimentContext::ExperimentContext(SimOptions options)
@@ -565,6 +617,14 @@ ExperimentContext::countStream(StreamUse use, const CellPairState &pair)
     }
 }
 
+PageTable &
+ExperimentContext::anchorTable(PairState &state)
+{
+    if (!state.anchor_table)
+        state.anchor_table = buildPageTable(state.pair.map(), true);
+    return *state.anchor_table;
+}
+
 SimResult
 ExperimentContext::runScheme(PairState &state, Scheme scheme,
                              std::uint64_t anchor_distance)
@@ -582,18 +642,14 @@ ExperimentContext::runScheme(PairState &state, Scheme scheme,
         table = &pair.thpTable();
         break;
       case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
-        if (!state.anchor_table) {
-            state.anchor_table = buildPageTable(pair.map(), true);
-            state.anchor_table_distance = 0;
-        }
-        if (state.anchor_table_distance != anchor_distance) {
-            state.anchor_table->sweepAnchors(
-                pair.map(), AnchorDist::fromPages(anchor_distance));
-            state.anchor_table_distance = anchor_distance;
-        }
-        table = &*state.anchor_table;
+      case Scheme::AnchorIdeal: {
+        PageTable &anchor = anchorTable(state);
+        const AnchorDist distance = AnchorDist::fromPages(anchor_distance);
+        if (anchor.sweptDistance() != distance)
+            anchor.sweepAnchors(pair.map(), distance);
+        table = &anchor;
         break;
+      }
     }
     ATLB_ASSERT(table, "no page table built for scheme");
     StreamUse use = StreamUse::Direct;
@@ -606,41 +662,42 @@ ExperimentContext::runScheme(PairState &state, Scheme scheme,
 SimResult
 ExperimentContext::runIdealSweep(PairState &state)
 {
-    // Oracle: exhaustively sweep every candidate distance, keep the
-    // first run with the fewest misses (paper's "static ideal"). One
-    // thread re-sweeps the pair's cached anchor table in place. With
-    // threads > 1 the candidates split into min(threads, 16) contiguous
-    // rank chunks across a pool, each sweeping its own clone of the
-    // pair's THP table. The reduction walks candidates in canonical
-    // order, so ties resolve the same for every thread count.
+    // Oracle: the first candidate distance with the fewest misses
+    // (paper's "static ideal"). The reduction walks candidates in
+    // canonical order over finished passes only, so neither the walk
+    // bounds nor the chunking can change the pick.
     const std::vector<std::uint64_t> distances = candidateDistances();
     const std::vector<RankChunk> chunks =
         idealRankChunks(options_.threads, distances.size());
-    std::vector<SimResult> runs(distances.size());
-
-    if (chunks.size() > 1) {
-        const CellPairState &pair = state.pair;
-        std::vector<StreamUse> uses(distances.size());
+    const CellPairState &pair = state.pair;
+    std::vector<AnchorPass> passes;
+    if (chunks.size() == 1) {
+        passes = runAnchorPasses(options_, pair, anchorTable(state),
+                                 Scheme::AnchorIdeal, distances);
+    } else {
+        passes.resize(distances.size());
         ThreadPool pool(static_cast<unsigned>(chunks.size()));
         for (const RankChunk &chunk : chunks) {
-            pool.submit([this, &pair, &distances, &runs, &uses, chunk] {
-                std::vector<SimResult> part = runAnchorPasses(
-                    options_, pair, Scheme::AnchorIdeal,
+            pool.submit([this, &pair, &distances, &passes, chunk] {
+                PageTable table = pair.thpTable().clone();
+                std::vector<AnchorPass> part = runAnchorPasses(
+                    options_, pair, table, Scheme::AnchorIdeal,
                     std::span(distances).subspan(chunk.lo,
-                                                 chunk.hi - chunk.lo),
-                    &uses[chunk.lo]);
+                                                 chunk.hi - chunk.lo));
                 std::move(part.begin(), part.end(),
-                          runs.begin() + chunk.lo);
+                          passes.begin() + chunk.lo);
             });
         }
         pool.wait();
-        for (const StreamUse use : uses)
-            countStream(use, pair);
-    } else {
-        for (std::size_t i = 0; i < distances.size(); ++i)
-            runs[i] = runScheme(state, Scheme::AnchorIdeal, distances[i]);
     }
-    return std::move(runs[firstMinimumRun(runs)]);
+    for (const AnchorPass &pass : passes) {
+        countStream(pass.use, pair);
+        if (pass.skipped > 0) {
+            ++counters_.ideal_passes_stopped;
+            counters_.ideal_accesses_skipped += pass.skipped;
+        }
+    }
+    return *std::move(passes[firstMinimumRun(passes)].result);
 }
 
 std::uint64_t

@@ -184,7 +184,7 @@ enum class StreamUse : std::uint8_t
 {
     Direct,   //!< generated or decoded afresh; nothing kept
     Recorded, //!< generated afresh and kept as the pair's recording
-    Replayed, //!< expanded from the pair's recording
+    Replayed, //!< replayed from the pair's recording
 };
 
 /**
@@ -237,6 +237,12 @@ class CellPairState
     {
         /** Recorded passes only: the recording the tee fills. */
         std::unique_ptr<RunRecording> recording;
+        /**
+         * Replayed passes only: the pair's published recording, which
+         * batch-mode passes consume run by run (Mmu::translateRuns).
+         * source then replays it access by access, the reference path.
+         */
+        std::shared_ptr<const RunRecording> replay;
         std::unique_ptr<TraceSource> source;
         StreamUse use = StreamUse::Direct;
     };
@@ -299,31 +305,67 @@ class CellPairState
 /**
  * runSchemeCell for one pass of @p pair: the same cell, with its access
  * stream from pair.openStream() — recorded by the pair's first pass,
- * replayed by later ones — so results are byte-identical to the
- * overload above. Sharded runs (shards > 1) stream directly. @p use,
- * when non-null, receives how the pass got its stream. This is the cell
- * body of ExperimentContext, the parallel sweep engine and the serve
- * scheduler.
+ * replayed by later ones (run by run in batch mode) — so results are
+ * byte-identical to the overload above. Sharded runs (shards > 1)
+ * stream directly. @p use, when non-null, receives how the pass got its
+ * stream. This is the cell body of ExperimentContext, the parallel
+ * sweep engine and the serve scheduler.
+ *
+ * @p walk_bound, when set, lets the pass stop early: it stops at the
+ * next block boundary once its page_walks exceed the bound (strictly,
+ * so a pass that ties the bound runs to the end), and the result then
+ * covers only the accesses simulated. Such a pass can no longer be a
+ * Static Ideal minimum (DESIGN.md §7.6). A pass that records the
+ * pair's stream, and a sharded pass, ignore the bound and always run
+ * to the end.
  */
 SimResult runSchemeCell(const SimOptions &options, const CellPairState &pair,
                         const PageTable &table, Scheme scheme,
                         std::uint64_t anchor_distance,
-                        StreamUse *use = nullptr);
+                        StreamUse *use = nullptr,
+                        std::optional<std::uint64_t> walk_bound = {});
+
+/** One candidate pass of runAnchorPasses. */
+struct AnchorPass
+{
+    /**
+     * The pass's result; empty when its page walks ended above the
+     * call's walk bound (it was stopped early, or exceeded the bound in
+     * its last block), so it cannot be the first minimum.
+     */
+    std::optional<SimResult> result;
+    StreamUse use = StreamUse::Direct;
+    /** Accesses the bound left unsimulated; 0 when the pass finished. */
+    std::uint64_t skipped = 0;
+};
 
 /**
- * The anchor-pass body of runCellJob, the parallel sweep engine and the
- * threaded Static Ideal sweep (DESIGN.md §7.5): clone
- * pair.thpTable() once, then for each of @p distances in order re-sweep
- * the clone in place (PageTable::sweepAnchors) and run one @p scheme
- * pass over it. Never rebuilds a table from the mapping. Returns one
- * result per distance, in order; @p uses, when non-null, receives one
- * StreamUse per distance. The clone is private to the call and the
- * pair's THP table is only read, so concurrent calls may share @p pair.
+ * The only Static Ideal loop, and the anchor-pass body of every
+ * executor (DESIGN.md §7.5, §7.6): for each of @p distances, re-sweep
+ * @p table in place for it (PageTable::sweepAnchors, skipped when the
+ * table is already swept there) and run one @p scheme pass over it.
+ * Never rebuilds a table from the mapping. The job paths pass a fresh
+ * clone of pair.thpTable(); ExperimentContext's serial path passes its
+ * cached per-pair table. The pair's own tables are only read, so
+ * concurrent calls may share @p pair as long as each has its own
+ * @p table.
+ *
+ * The passes run under an exact walk bound: the fewest misses of the
+ * passes this call has finished so far. A pass whose walks exceed it
+ * stops early and gets no result; a pass that ties it runs to the end.
+ * Since page_walks only grows during a pass, the first minimum in
+ * canonical order never exceeds the bound, so firstMinimumRun over the
+ * returned passes picks exactly the exhaustive sweep's winner. To set
+ * a tight bound early, the call visits @p distances starting at the
+ * pair's dynamic distance, then outward by rank distance from it, the
+ * lower rank first on ties; @p distances must be ascending rungs of
+ * candidateDistances(). Returns one AnchorPass per distance, in
+ * @p distances order.
  */
-std::vector<SimResult>
+std::vector<AnchorPass>
 runAnchorPasses(const SimOptions &options, const CellPairState &pair,
-                Scheme scheme, std::span<const std::uint64_t> distances,
-                StreamUse *uses = nullptr);
+                PageTable &table, Scheme scheme,
+                std::span<const std::uint64_t> distances);
 
 /** Half-open range [lo, hi) of Static Ideal candidate ranks. */
 struct RankChunk
@@ -342,11 +384,14 @@ std::vector<RankChunk> idealRankChunks(unsigned threads,
                                        std::size_t candidates);
 
 /**
- * Index of the first run with the fewest misses in @p runs (which must
- * be non-empty and in canonical candidate order): the Static Ideal
- * pick, with ties going to the lowest rank in every executor.
+ * Index of the first pass with the fewest misses among the finished
+ * passes of @p passes (in canonical candidate order; at least one must
+ * have a result): the Static Ideal pick, with ties going to the lowest
+ * rank in every executor. Passes without a result are skipped; they
+ * ended above a bound some finished pass set, so they can never be the
+ * minimum, and the pick is the same for any visit order or chunking.
  */
-std::size_t firstMinimumRun(const std::vector<SimResult> &runs);
+std::size_t firstMinimumRun(const std::vector<AnchorPass> &passes);
 
 /**
  * Content address of one experiment cell: the canonical FNV-1a digest
@@ -482,6 +527,10 @@ class ExperimentContext
         std::uint64_t stream_direct = 0;
         /** Bytes of the recordings the recorded passes kept. */
         std::uint64_t recording_bytes = 0;
+        /** Static Ideal passes the walk bound stopped early ... */
+        std::uint64_t ideal_passes_stopped = 0;
+        /** ... and the accesses they left unsimulated. */
+        std::uint64_t ideal_accesses_skipped = 0;
 
         double hitRate() const
         {
@@ -523,9 +572,19 @@ class ExperimentContext
     std::uint64_t traceHashFor(const std::string &workload);
     PairState &pairState(const std::string &workload,
                          ScenarioKind scenario);
+    PageTable &anchorTable(PairState &state);
     SimResult runScheme(PairState &state, Scheme scheme,
                         std::uint64_t anchor_distance);
     void countStream(StreamUse use, const CellPairState &pair);
+    /**
+     * The Static Ideal cell of @p state's pair: every candidate
+     * distance through runAnchorPasses, reduced by firstMinimumRun.
+     * One thread sweeps the pair's cached anchor table; with
+     * threads > 1 the candidates split into idealRankChunks across a
+     * pool, each chunk sweeping its own clone of the THP table under
+     * its own walk bound. Counts every pass's stream use and the
+     * passes the bound stopped.
+     */
     SimResult runIdealSweep(PairState &state);
 };
 

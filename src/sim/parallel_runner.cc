@@ -87,7 +87,7 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
 
     // --- execute -----------------------------------------------------
     std::vector<SimResult> out(jobs.size());
-    std::vector<std::vector<SimResult>> ideal_runs(jobs.size());
+    std::vector<std::vector<AnchorPass>> ideal_runs(jobs.size());
     for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
         if (jobs[cell].scheme == Scheme::AnchorIdeal)
             ideal_runs[cell].resize(distances.size());
@@ -108,8 +108,9 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
             });
             const CellJob &job = jobs[leaf.cell];
             if (job.scheme == Scheme::AnchorIdeal) {
-                std::vector<SimResult> part = runAnchorPasses(
-                    options, *slot.shared, job.scheme,
+                PageTable table = slot.shared->thpTable().clone();
+                std::vector<AnchorPass> part = runAnchorPasses(
+                    options, *slot.shared, table, job.scheme,
                     std::span(distances).subspan(
                         leaf.ranks.lo, leaf.ranks.hi - leaf.ranks.lo));
                 std::move(part.begin(), part.end(),
@@ -127,9 +128,9 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
     // --- reduce AnchorIdeal cells in canonical candidate order so the
     // --- tie-break (first minimum wins) matches the serial sweep ------
     for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
-        if (!ideal_runs[cell].empty())
-            out[cell] = std::move(
-                ideal_runs[cell][firstMinimumRun(ideal_runs[cell])]);
+        std::vector<AnchorPass> &passes = ideal_runs[cell];
+        if (!passes.empty())
+            out[cell] = *std::move(passes[firstMinimumRun(passes)].result);
     }
     return out;
 }
@@ -182,17 +183,22 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         const std::uint64_t distance = job.distance_override
                                            ? *job.distance_override
                                            : pair.dynamicDistance();
-        return std::move(
-            runAnchorPasses(options, pair, job.scheme, {&distance, 1})
-                .front());
+        PageTable table = pair.thpTable().clone();
+        return *std::move(
+            runAnchorPasses(options, pair, table, job.scheme,
+                            {&distance, 1})
+                .front()
+                .result);
       }
       case Scheme::AnchorIdeal: {
-        // Exhaustive distance sweep on one table inside one job; the
-        // first minimum in canonical candidate order wins, matching
-        // both the serial sweep and the parallel engine's reduction.
-        std::vector<SimResult> runs = runAnchorPasses(
-            options, pair, job.scheme, candidateDistances());
-        return std::move(runs[firstMinimumRun(runs)]);
+        // Every candidate on one table inside one job, under the
+        // call's walk bound; the first minimum in canonical candidate
+        // order wins, matching both the serial sweep and the parallel
+        // engine's reduction.
+        PageTable table = pair.thpTable().clone();
+        std::vector<AnchorPass> passes = runAnchorPasses(
+            options, pair, table, job.scheme, candidateDistances());
+        return *std::move(passes[firstMinimumRun(passes)].result);
       }
     }
     ATLB_FATAL("unhandled scheme in cell job");

@@ -19,7 +19,7 @@
  * job clones the shared THP table once and re-sweeps the clone in place
  * for every distance it runs (runAnchorPasses). An AnchorIdeal cell
  * fans out as min(threads, 16) contiguous chunks of candidate ranks,
- * one clone each. Leaves are enqueued in pair order and each pair's
+ * one clone and one walk bound each (DESIGN.md §7.6). Leaves are enqueued in pair order and each pair's
  * state is freed when its last leaf completes, so peak memory stays
  * near (threads + 1) live pairs rather than the whole grid.
  */
@@ -52,8 +52,9 @@ struct CellJob
  * Base/Cluster use the pair's plain table, the THP-family schemes its
  * THP table, Anchor clones the THP table and sweeps the clone once,
  * and AnchorIdeal sweeps one clone in place through every candidate
- * distance, keeping the first minimum-miss run (the same tie-break as
- * the serial sweep and the parallel reduction). No table is ever
+ * distance in one runAnchorPasses call, under that call's walk bound,
+ * keeping the first minimum-miss run (the same tie-break as the
+ * serial sweep and the parallel reduction). No table is ever
  * rebuilt from the mapping. options.threads is not consulted — callers
  * wanting within-cell parallelism split AnchorIdeal candidates into
  * rank chunks themselves (idealRankChunks). Safe for concurrent calls

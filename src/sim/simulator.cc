@@ -1,5 +1,8 @@
 #include "simulator.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 
@@ -57,31 +60,20 @@ SimResult::l2MissFraction() const
               : 0.0;
 }
 
-SimResult
-runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
-              TranslateMode mode, BatchStats *batch_stats)
+namespace
 {
-    ATLB_ASSERT(mem_per_instr > 0.0, "mem_per_instr must be positive");
-    // Pull accesses in chunks: one virtual fill() per batch instead of
-    // one virtual next() per access keeps the generator's state hot and
-    // lets the translate loop run branch-predictably. Batch mode then
-    // hands the whole buffer to the scheme's devirtualized kernel —
-    // one virtual translateBatch call per 1024 accesses.
-    constexpr std::size_t batch = 1024;
-    MemAccess buffer[batch];
-    if (mode == TranslateMode::Batch) {
-        BatchStats bs;
-        while (const std::size_t n = trace.fill(buffer, batch))
-            mmu.translateBatch(buffer, n, bs);
-        if (batch_stats)
-            *batch_stats += bs;
-    } else {
-        while (const std::size_t n = trace.fill(buffer, batch)) {
-            for (std::size_t i = 0; i < n; ++i)
-                mmu.translate(buffer[i].vaddr);
-        }
-    }
 
+/** Whether @p mmu has walked more pages than @p walk_bound allows. */
+bool
+overBound(const Mmu &mmu, std::optional<std::uint64_t> walk_bound)
+{
+    return walk_bound && mmu.stats().page_walks > *walk_bound;
+}
+
+/** The SimResult of everything @p mmu has translated so far. */
+SimResult
+resultOf(const Mmu &mmu, double mem_per_instr)
+{
     SimResult res;
     res.scheme = mmu.name();
     res.stats = mmu.stats();
@@ -99,6 +91,56 @@ runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
     res.walk_cycles = res.stats.translation_cycles - res.l2_hit_cycles -
                       res.coalesced_cycles;
     return res;
+}
+
+} // namespace
+
+SimResult
+runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
+              TranslateMode mode, BatchStats *batch_stats,
+              std::optional<std::uint64_t> walk_bound)
+{
+    ATLB_ASSERT(mem_per_instr > 0.0, "mem_per_instr must be positive");
+    // Pull accesses in chunks: one virtual fill() per batch instead of
+    // one virtual next() per access keeps the generator's state hot and
+    // lets the translate loop run branch-predictably. Batch mode then
+    // hands the whole buffer to the scheme's devirtualized kernel —
+    // one virtual translateBatch call per 1024 accesses.
+    constexpr std::size_t batch = 1024;
+    MemAccess buffer[batch];
+    BatchStats bs;
+    while (!overBound(mmu, walk_bound)) {
+        const std::size_t n = trace.fill(buffer, batch);
+        if (n == 0)
+            break;
+        if (mode == TranslateMode::Batch) {
+            mmu.translateBatch(buffer, n, bs);
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                mmu.translate(buffer[i].vaddr);
+        }
+    }
+    if (batch_stats)
+        *batch_stats += bs;
+    return resultOf(mmu, mem_per_instr);
+}
+
+SimResult
+runSimulation(Mmu &mmu, const RunRecording &recording, double mem_per_instr,
+              std::optional<std::uint64_t> walk_bound)
+{
+    ATLB_ASSERT(mem_per_instr > 0.0, "mem_per_instr must be positive");
+    ATLB_ASSERT(!recording.abandoned(), "replay needs a kept recording");
+    constexpr std::size_t block = 1024;
+    const std::vector<std::uint64_t> &words = recording.words();
+    BatchStats bs;
+    for (std::size_t done = 0;
+         done < words.size() && !overBound(mmu, walk_bound);
+         done += block) {
+        mmu.translateRuns(words.data() + done,
+                          std::min(block, words.size() - done), bs);
+    }
+    return resultOf(mmu, mem_per_instr);
 }
 
 } // namespace atlb

@@ -9,10 +9,12 @@
 #define ANCHORTLB_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "mmu/mmu.hh"
 #include "trace/access.hh"
+#include "trace/run_recording.hh"
 
 namespace atlb
 {
@@ -100,17 +102,34 @@ enum class TranslateMode : std::uint8_t
 };
 
 /**
- * Run @p trace through @p mmu to completion.
+ * Run @p trace through @p mmu to completion, or until @p walk_bound
+ * stops it.
  *
  * @param mem_per_instr data accesses per instruction (CPI conversion)
  * @param mode          batch kernel (default) or per-access reference
  * @param batch_stats   if non-null, accumulates the replay's
  *                      BatchStats (batch mode only; untouched in
  *                      per-access mode)
+ * @param walk_bound    if set, the run stops at the first 1024-access
+ *                      block boundary where the MMU's page_walks
+ *                      exceed it, and the result covers only the
+ *                      accesses simulated so far
  */
 SimResult runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
                         TranslateMode mode = TranslateMode::Batch,
-                        BatchStats *batch_stats = nullptr);
+                        BatchStats *batch_stats = nullptr,
+                        std::optional<std::uint64_t> walk_bound = {});
+
+/**
+ * Replay @p recording through @p mmu run by run: one
+ * Mmu::translateRuns call per block of 1024 words. Counter-identical
+ * to the batch-mode overload above over a RecordingReplay of the same
+ * recording, which is the per-access reference (DESIGN.md §7.4).
+ * @p walk_bound stops the run at a block boundary as above.
+ */
+SimResult runSimulation(Mmu &mmu, const RunRecording &recording,
+                        double mem_per_instr,
+                        std::optional<std::uint64_t> walk_bound = {});
 
 } // namespace atlb
 

@@ -29,7 +29,7 @@ RunRecording::push(std::uint64_t vpn, std::uint64_t len)
             return false;
         }
         const std::uint64_t part = std::min(len, maxRunLength);
-        words_.push_back(vpn << lengthBits | part);
+        words_.push_back(word(Vpn{vpn}, part));
         len -= part;
         if (len == 0)
             return true;
@@ -143,11 +143,10 @@ RecordingReplay::fill(MemAccess *out, std::size_t max)
     std::size_t n = 0;
     while (n < max && run_ < words.size()) {
         const std::uint64_t word = words[run_];
-        const std::uint64_t len = word & RunRecording::maxRunLength;
+        const std::uint64_t len = RunRecording::wordLength(word);
         const std::uint64_t take =
             std::min<std::uint64_t>(len - consumed_, max - n);
-        const MemAccess access{
-            vaOf(Vpn{word >> RunRecording::lengthBits}), false};
+        const MemAccess access{vaOf(RunRecording::wordVpn(word)), false};
         std::fill_n(out + n, take, access);
         n += static_cast<std::size_t>(take);
         consumed_ += take;

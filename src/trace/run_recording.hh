@@ -46,6 +46,22 @@ class RunRecording
     /** Absolute word cap, whatever the stream length (32 MB). */
     static constexpr std::size_t maxRuns = std::size_t{1} << 22;
 
+    /** The word of a run of @p len (1..maxRunLength) accesses to @p vpn. */
+    static constexpr std::uint64_t word(Vpn vpn, std::uint64_t len)
+    {
+        return vpn.raw() << lengthBits | len;
+    }
+    /** Page of the run @p word records. */
+    static constexpr Vpn wordVpn(std::uint64_t word)
+    {
+        return Vpn{word >> lengthBits};
+    }
+    /** Accesses in the run @p word records. */
+    static constexpr std::uint64_t wordLength(std::uint64_t word)
+    {
+        return word & maxRunLength;
+    }
+
     /**
      * Word budget for a stream of @p accesses: accesses/8 runs (at most
      * one byte per access), capped at maxRuns. A stream with less page
@@ -109,7 +125,9 @@ class RecordingTee : public TraceSource
 /**
  * Replays a finished recording: each run expands into its length of
  * page-base reads. Shares the recording read-only, so any number of
- * concurrent replays may read one recording.
+ * concurrent replays may read one recording. This is the per-access
+ * reference of a replay: batch-mode passes hand the words themselves
+ * to Mmu::translateRuns instead (DESIGN.md §7.4).
  */
 class RecordingReplay : public TraceSource
 {

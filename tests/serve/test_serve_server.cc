@@ -408,9 +408,14 @@ TEST(ServeServer, SmallRequestIsNotStuckBehindALargeGrid)
 
     // A large grid: 24 distinct Anchor cells. With the server's single
     // scheduler worker (base threads = 1) this runs long enough for a
-    // small request to arrive mid-flight.
+    // small request to arrive mid-flight. Its cells simulate 10x the
+    // base accesses: at the base length the whole grid takes only a
+    // few milliseconds, and it could finish before the small request
+    // was even admitted.
+    constexpr std::uint64_t large_accesses = 200'000;
     SweepRequest large;
     large.op = WireOp::Submit;
+    large.accesses = large_accesses;
     for (const char *workload : {"canneal", "sphinx3"}) {
         for (std::uint64_t d = 2; d <= (1u << 12); d <<= 1) {
             CellRequest cell;
@@ -470,9 +475,12 @@ TEST(ServeServer, SmallRequestIsNotStuckBehindALargeGrid)
     expectSameResult(small_resp.cells[0].result,
                      ctx.run("canneal", ScenarioKind::HighContig,
                              Scheme::Base));
+    SimOptions large_options = quickOptions();
+    large_options.accesses = large_accesses;
+    ExperimentContext large_ctx(large_options);
     expectSameResult(large_resp.cells[0].result,
-                     ctx.run("canneal", ScenarioKind::MedContig,
-                             Scheme::Anchor, 2));
+                     large_ctx.run("canneal", ScenarioKind::MedContig,
+                                   Scheme::Anchor, 2));
 }
 
 TEST(ServeServer, ShutdownOpStopsTheServer)

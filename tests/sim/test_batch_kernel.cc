@@ -9,6 +9,10 @@
  * L0 same-page filter engaged. The per-access pipeline is always the
  * reference; nothing here encodes expected absolute counts.
  *
+ * Run-native replay (Mmu::translateRuns) is held to the same bar: over
+ * a kept recording and hand-built run words it must count exactly what
+ * translateBatch counts over the expanded RecordingReplay stream.
+ *
  * Also covered: the L0 filter invalidation contract (flushAll /
  * invalidatePage / switchProcess / interleaved per-access probes must
  * drop the carried VPN rather than serve stale short-circuits), batch
@@ -46,6 +50,7 @@
 #include "sim/experiment.hh"
 #include "sim/sharded_runner.hh"
 #include "sim/simulator.hh"
+#include "trace/run_recording.hh"
 #include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
@@ -675,6 +680,209 @@ TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
     }
 }
 
+// --- run-native replay --------------------------------------------------
+
+void
+expectTlbStatsEqual(const TlbStats &a, const TlbStats &b,
+                    const std::string &what)
+{
+    EXPECT_EQ(a.lookups, b.lookups) << what;
+    EXPECT_EQ(a.hits, b.hits) << what;
+    EXPECT_EQ(a.insertions, b.insertions) << what;
+    EXPECT_EQ(a.evictions, b.evictions) << what;
+}
+
+/** Everything translateRuns must leave identical to translateBatch. */
+void
+expectReplayEqual(const Mmu &runs, const BatchStats &runs_bs,
+                  const Mmu &batch, const BatchStats &batch_bs,
+                  const std::string &what)
+{
+    expectStatsEqual(runs.stats(), batch.stats(), what);
+    EXPECT_EQ(runs.stats().shootdowns, batch.stats().shootdowns) << what;
+    EXPECT_EQ(runs_bs.accesses, batch_bs.accesses) << what;
+    EXPECT_EQ(runs_bs.l1_hits, batch_bs.l1_hits) << what;
+    EXPECT_EQ(runs_bs.l0_filtered, batch_bs.l0_filtered) << what;
+    expectTlbStatsEqual(runs.l1Tlb4K().stats(), batch.l1Tlb4K().stats(),
+                        what + " l1-4k");
+    expectTlbStatsEqual(runs.l1Tlb2M().stats(), batch.l1Tlb2M().stats(),
+                        what + " l1-2m");
+}
+
+/** translateBatch over the expanded replay of @p recording. */
+void
+batchReplay(Mmu &mmu, std::shared_ptr<const RunRecording> recording,
+            BatchStats &bs)
+{
+    RecordingReplay replay(std::move(recording));
+    MemAccess buffer[1024];
+    while (const std::size_t n = replay.fill(buffer, 1024))
+        mmu.translateBatch(buffer, n, bs);
+}
+
+/** translateRuns over @p recording's words in @p block-word blocks. */
+void
+runReplay(Mmu &mmu, const RunRecording &recording, std::size_t block,
+          BatchStats &bs)
+{
+    const std::vector<std::uint64_t> &words = recording.words();
+    for (std::size_t i = 0; i < words.size(); i += block)
+        mmu.translateRuns(words.data() + i,
+                          std::min(block, words.size() - i), bs);
+}
+
+/** The accesses @p words stand for, as RecordingReplay expands them. */
+std::vector<MemAccess>
+expandWords(const std::vector<std::uint64_t> &words)
+{
+    std::vector<MemAccess> out;
+    for (const std::uint64_t word : words)
+        out.insert(out.end(), RunRecording::wordLength(word),
+                   MemAccess{vaOf(RunRecording::wordVpn(word)), false});
+    return out;
+}
+
+TEST(BatchEquivalence, RunReplayMatchesExpandedReplay)
+{
+    // A kept mcf recording, replayed through every scheme (the anchor
+    // schemes at several distances) both ways: run-native in blocks of
+    // 1024 words (the simulator's) and of 7 (so the L0 carry crosses
+    // many block boundaries), and expanded through translateBatch.
+    const SimOptions opts = quickOptions();
+    const WorkloadSpec spec = scaledWorkloadSpec(opts, "mcf");
+    auto recording = std::make_shared<RunRecording>(
+        RunRecording::budgetFor(opts.accesses));
+    {
+        RecordingTee tee(makeCellTrace(opts, spec, opts.accesses),
+                         *recording);
+        MemAccess buffer[1024];
+        while (tee.fill(buffer, 1024) > 0) {
+        }
+    }
+    recording->finish();
+    ASSERT_FALSE(recording->abandoned());
+    ASSERT_GT(recording->runs(), 0u);
+
+    const MemoryMap map = buildScenario(ScenarioKind::MedContig,
+                                        scenarioParamsFor(opts, spec));
+    const PageTable plain = buildPageTable(map, false);
+    const PageTable thp = buildPageTable(map, true);
+    PageTable anchored = buildPageTable(map, true);
+    const std::uint64_t dynamic =
+        selectAnchorDistance(map.contiguityHistogram()).distance;
+    for (const Scheme scheme : allSchemes) {
+        const bool anchor =
+            scheme == Scheme::Anchor || scheme == Scheme::AnchorIdeal;
+        std::vector<std::uint64_t> distances = {0};
+        if (anchor)
+            distances = {dynamic, 2, 64, 65536};
+        for (const std::uint64_t distance : distances) {
+            const PageTable *table = &thp;
+            if (scheme == Scheme::Base || scheme == Scheme::Cluster) {
+                table = &plain;
+            } else if (anchor) {
+                anchored.sweepAnchors(map, AnchorDist::fromPages(distance));
+                table = &anchored;
+            }
+            for (const std::size_t block : {std::size_t{1024},
+                                            std::size_t{7}}) {
+                const std::string what = std::string(schemeName(scheme)) +
+                                         "@" + std::to_string(distance) +
+                                         " block " + std::to_string(block);
+                SCOPED_TRACE(what);
+                const std::unique_ptr<Mmu> runs = buildSchemeMmu(
+                    opts.mmu, *table, map, scheme, distance);
+                const std::unique_ptr<Mmu> batch = buildSchemeMmu(
+                    opts.mmu, *table, map, scheme, distance);
+                BatchStats runs_bs;
+                BatchStats batch_bs;
+                runReplay(*runs, *recording, block, runs_bs);
+                batchReplay(*batch, recording, batch_bs);
+                expectReplayEqual(*runs, runs_bs, *batch, batch_bs, what);
+                EXPECT_EQ(runs->stats().accesses, opts.accesses);
+            }
+        }
+    }
+}
+
+TEST(BatchEquivalence, RunReplayOfALongRunSplitAcrossWords)
+{
+    // A run longer than maxRunLength spans two words of one page; the
+    // second word is all L0 hits.
+    const Vpn first = baseVpn + 2;
+    const Vpn longest = baseVpn + 600;
+    const Vpn last = baseVpn + 4100;
+    auto recording = std::make_shared<RunRecording>(16);
+    std::vector<MemAccess> buffer(1024, MemAccess{vaOf(longest), false});
+    const MemAccess head{vaOf(first), false};
+    recording->append(&head, 1);
+    std::uint64_t left = RunRecording::maxRunLength + 5;
+    while (left > 0) {
+        const std::size_t n =
+            static_cast<std::size_t>(std::min<std::uint64_t>(left, 1024));
+        recording->append(buffer.data(), n);
+        left -= n;
+    }
+    const MemAccess tail{vaOf(last), false};
+    recording->append(&tail, 1);
+    recording->finish();
+    const std::vector<std::uint64_t> &words = recording->words();
+    ASSERT_EQ(words.size(), 4u);
+    EXPECT_EQ(RunRecording::wordVpn(words[1]), longest);
+    EXPECT_EQ(RunRecording::wordVpn(words[2]), longest);
+    EXPECT_EQ(RunRecording::wordLength(words[1]),
+              RunRecording::maxRunLength);
+    EXPECT_EQ(RunRecording::wordLength(words[2]), 5u);
+
+    for (const std::size_t block : {std::size_t{4}, std::size_t{2}}) {
+        SCOPED_TRACE(block);
+        FilterProbe probe;
+        BatchStats runs_bs;
+        runReplay(probe.batch_mmu, *recording, block, runs_bs);
+        batchReplay(probe.ref_mmu, recording, probe.bs);
+        expectReplayEqual(probe.batch_mmu, runs_bs, probe.ref_mmu,
+                          probe.bs, "long run");
+    }
+}
+
+TEST(BatchEquivalence, RunReplayCarriesTheL0PageAcrossBlocks)
+{
+    // Hand-built words: the second block opens on the page the first
+    // one ended on, so its whole first run is filtered; then a flush,
+    // after which the same page must probe (and miss) again.
+    const Vpn a = baseVpn + 2;
+    const Vpn b = baseVpn + 600;
+    const Vpn c = baseVpn + 4100;
+    const std::vector<std::vector<std::uint64_t>> blocks = {
+        {RunRecording::word(a, 3), RunRecording::word(b, 2)},
+        {RunRecording::word(b, 4), RunRecording::word(c, 1),
+         RunRecording::word(a, 2)},
+        {RunRecording::word(a, 3), RunRecording::word(b, 1)},
+    };
+    FilterProbe probe;
+    BatchStats runs_bs;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const std::string what = "block " + std::to_string(i);
+        if (i == 2) {
+            probe.batch_mmu.flushAll();
+            probe.ref_mmu.flushAll();
+        }
+        probe.batch_mmu.translateRuns(blocks[i].data(), blocks[i].size(),
+                                      runs_bs);
+        const std::vector<MemAccess> expanded = expandWords(blocks[i]);
+        probe.ref_mmu.translateBatch(expanded.data(), expanded.size(),
+                                     probe.bs);
+        expectReplayEqual(probe.batch_mmu, runs_bs, probe.ref_mmu,
+                          probe.bs, what);
+    }
+    // a, b, c, then a and b again after the flush: five walks.
+    EXPECT_EQ(probe.batch_mmu.stats().page_walks, 5u);
+#ifndef ANCHORTLB_CHECKED
+    // 2 + 1, then 4 + 0 + 1, then 2 + 0.
+    EXPECT_EQ(runs_bs.l0_filtered, 10u);
+#endif
+}
+
 // --- checked-build routing (satellite fix) ------------------------------
 
 #ifdef ANCHORTLB_CHECKED
@@ -699,6 +907,28 @@ TEST(BatchCheckedBuild, OracleSeesEveryBatchAccess)
     const std::vector<MemAccess> again = sameVpnBurst(baseVpn + 2, 1);
     EXPECT_THROW(mmu.translateBatch(again.data(), again.size(), bs),
                  std::logic_error); // ANCHOR_CHECK panics throw this
+    detail::setThrowOnError(false);
+}
+
+TEST(BatchCheckedBuild, OracleSeesEveryRunAccess)
+{
+    // The same planted corruption, replayed run by run: translateRuns
+    // must route every access of a run through the oracle too.
+    detail::setThrowOnError(true);
+    MemoryMap map = test::makeVariedMap();
+    PageTable table = buildPageTable(map, false);
+    MmuConfig cfg;
+    BaselineMmu mmu(cfg, table);
+
+    BatchStats bs;
+    const std::uint64_t warm = RunRecording::word(baseVpn + 2, 2);
+    mmu.translateRuns(&warm, 1, bs); // caches the page
+    EXPECT_EQ(bs.accesses, 2u);
+    EXPECT_EQ(bs.l0_filtered, 0u);
+    table.remap4K(baseVpn + 2, Ppn{0x4444}); // no shootdown: stale TLB
+
+    const std::uint64_t again = RunRecording::word(baseVpn + 2, 3);
+    EXPECT_THROW(mmu.translateRuns(&again, 1, bs), std::logic_error);
     detail::setThrowOnError(false);
 }
 #endif // ANCHORTLB_CHECKED

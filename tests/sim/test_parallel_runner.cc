@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "os/distance_selector.hh"
+#include "os/table_builder.hh"
 #include "sim/parallel_runner.hh"
 
 namespace atlb
@@ -68,6 +69,34 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.l2_hit_cycles, b.l2_hit_cycles);
     EXPECT_EQ(a.coalesced_cycles, b.coalesced_cycles);
     EXPECT_EQ(a.walk_cycles, b.walk_cycles);
+}
+
+/**
+ * Every Static Ideal candidate of a pair, each run to the end: a fresh
+ * anchor table per distance and the direct stream, so the reference
+ * shares no code with the walk bound, the in-place sweep or the
+ * replay. In canonical candidate order.
+ */
+std::vector<SimResult>
+exhaustiveIdealRuns(const SimOptions &options, const std::string &workload,
+                    ScenarioKind scenario)
+{
+    const CellPairState pair(options, workload, scenario);
+    std::vector<SimResult> runs;
+    for (const std::uint64_t distance : candidateDistances()) {
+        const PageTable table =
+            buildAnchorPageTable(pair.map(), AnchorDist::fromPages(distance));
+        runs.push_back(runSchemeCell(options, pair.spec(), pair.scenario(),
+                                     pair.map(), table, Scheme::AnchorIdeal,
+                                     distance));
+    }
+    return runs;
+}
+
+bool
+fewerMisses(const SimResult &a, const SimResult &b)
+{
+    return a.misses() < b.misses();
 }
 
 TEST(ParallelRunner, EightThreadsMatchSerialOnFullGrid)
@@ -176,15 +205,11 @@ TEST(ParallelRunner, IdealChunksMatchSerial)
         if (job.scheme != Scheme::AnchorIdeal)
             continue;
         // The tie must really be there for the check to mean anything.
-        const CellPairState pair(quickOptions(1), job.workload,
-                                 job.scenario);
-        const std::vector<SimResult> runs = runAnchorPasses(
-            quickOptions(1), pair, Scheme::AnchorIdeal, distances);
-        const auto fewer = [](const SimResult &a, const SimResult &b) {
-            return a.misses() < b.misses();
-        };
+        const std::vector<SimResult> runs =
+            exhaustiveIdealRuns(quickOptions(1), job.workload, job.scenario);
         // min_element returns the first of equal minima.
-        const auto best = std::min_element(runs.begin(), runs.end(), fewer);
+        const auto best =
+            std::min_element(runs.begin(), runs.end(), fewerMisses);
         const auto ties = std::count_if(
             runs.begin(), runs.end(), [&](const SimResult &r) {
                 return r.misses() == best->misses();
@@ -209,6 +234,78 @@ TEST(ParallelRunner, IdealChunksMatchSerial)
                             ctx.run(jobs[i].workload, jobs[i].scenario,
                                     jobs[i].scheme,
                                     jobs[i].distance_override));
+        }
+    }
+}
+
+TEST(ParallelRunner, IdealBoundMatchesExhaustiveSweep)
+{
+    // The walk bound stops candidates that can no longer win. Every
+    // executor and thread split must still return the exhaustive
+    // sweep's first minimum, byte for byte: every scenario, a kept
+    // stream (mcf), an abandoned one (gups), and sphinx3, whose medium
+    // scenario ties 12 candidates at the fewest misses.
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7919}}) {
+        SimOptions opts = quickOptions(1);
+        opts.seed = seed;
+        std::vector<CellJob> jobs;
+        std::vector<SimResult> expect;
+        for (const std::string workload : {"mcf", "gups", "sphinx3"}) {
+            for (const ScenarioKind scenario : allScenarios) {
+                jobs.push_back({workload, scenario, Scheme::AnchorIdeal, {}});
+                const std::vector<SimResult> runs =
+                    exhaustiveIdealRuns(opts, workload, scenario);
+                expect.push_back(
+                    *std::min_element(runs.begin(), runs.end(), fewerMisses));
+            }
+        }
+        const auto trace = [&](std::size_t i) {
+            return "seed " + std::to_string(seed) + " " + jobs[i].workload +
+                   "/" + scenarioName(jobs[i].scenario);
+        };
+
+        ExperimentContext serial(opts);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE("serial " + trace(i));
+            expectIdentical(expect[i], serial.run(jobs[i].workload,
+                                                  jobs[i].scenario,
+                                                  Scheme::AnchorIdeal));
+        }
+        EXPECT_GT(serial.cacheCounters().ideal_passes_stopped, 0u);
+
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE("runCellJob " + trace(i));
+            // The Static Ideal job is the fresh pair's first pass, so
+            // one of its candidates records the stream. The recording
+            // must be complete: a later pass replays it and matches the
+            // direct stream.
+            const CellPairState pair(opts, jobs[i].workload,
+                                     jobs[i].scenario);
+            expectIdentical(expect[i], runCellJob(opts, pair, jobs[i]));
+            if (jobs[i].workload == "mcf") {
+                EXPECT_GT(pair.recordingBytes(), 0u);
+            }
+            StreamUse use = StreamUse::Direct;
+            const SimResult replayed = runSchemeCell(
+                opts, pair, pair.plainTable(), Scheme::Base, 0, &use);
+            EXPECT_EQ(use, pair.recordingBytes() > 0 ? StreamUse::Replayed
+                                                     : StreamUse::Direct);
+            expectIdentical(runSchemeCell(opts, pair.spec(), pair.scenario(),
+                                          pair.map(), pair.plainTable(),
+                                          Scheme::Base, 0),
+                            replayed);
+        }
+
+        for (const unsigned threads : {2u, 3u, 16u}) {
+            opts.threads = threads;
+            const std::vector<SimResult> results =
+                ParallelRunner(opts).run(jobs);
+            ASSERT_EQ(results.size(), jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                SCOPED_TRACE(std::to_string(threads) + " threads " +
+                             trace(i));
+                expectIdentical(expect[i], results[i]);
+            }
         }
     }
 }

@@ -308,6 +308,8 @@ TEST(RecordedStream, McfRowIsOneRecordedPassAndTwentyOneReplays)
         EXPECT_GT(c.recording_bytes, 0u);
         EXPECT_LE(c.recording_bytes, 20'000u);
         EXPECT_EQ(c.recording_bytes % 8, 0u);
+        // A stopped Static Ideal pass still counts as a replay above.
+        EXPECT_GE(c.ideal_passes_stopped, 1u) << threads << " threads";
     }
 }
 
