@@ -137,7 +137,7 @@ tsan_leg() {
         test_serve
     (cd "$repo/build-tsan" &&
         ctest --output-on-failure -j "$jobs" \
-            -R 'ThreadPool|ParallelRunner|Sharded|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|RecordedStream')
+            -R 'ThreadPool|ParallelRunner|Sharded|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|RecordedStream|SharedTable')
 }
 
 if [[ $fast == 0 ]]; then

@@ -1,6 +1,7 @@
 #include "page_table.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -9,19 +10,28 @@
 namespace atlb
 {
 
-/**
- * One 512-ary radix node. Leaf levels use only @c ents; interior levels
- * use @c ents for 2MB leaves (PD level) and @c kids for child nodes.
- */
-struct PageTable::Node
+struct PageTable::Leaf
 {
     std::array<std::uint64_t, fanout> ents{};
-    std::array<std::unique_ptr<Node>, fanout> kids{};
+
+    /** Copy of this node: one 4KB block. */
+    std::unique_ptr<Leaf> clone() const
+    {
+        return std::make_unique<Leaf>(*this);
+    }
+};
+
+template <class Child>
+struct PageTable::Interior
+{
+    /** 1GB leaves at the PDPT level, 2MB leaves at the PD level. */
+    std::array<std::uint64_t, fanout> ents{};
+    std::array<std::unique_ptr<Child>, fanout> kids{};
 
     /** Deep copy of this subtree. */
-    std::unique_ptr<Node> clone() const
+    std::unique_ptr<Interior> clone() const
     {
-        auto copy = std::make_unique<Node>();
+        auto copy = std::make_unique<Interior>();
         copy->ents = ents;
         for (unsigned i = 0; i < fanout; ++i) {
             if (kids[i])
@@ -42,9 +52,41 @@ levelIndex(Vpn vpn, unsigned level)
                                  (PageTable::fanout - 1));
 }
 
+/** True iff @p e is a present 1GB or 2MB leaf entry. */
+bool
+hugeLeaf(std::uint64_t e)
+{
+    return pte::present(e) && pte::huge(e);
+}
+
+/**
+ * The child of interior @p node on @p vpn's path at @p level, allocated
+ * (and counted in @p node_count) when missing. Panics when the slot is
+ * a huge leaf.
+ */
+template <template <class> class Node, class Child>
+Child &
+ensureChild(Node<Child> &node, Vpn vpn, unsigned level,
+            std::uint64_t &node_count)
+{
+    const unsigned idx = levelIndex(vpn, level);
+    ATLB_ASSERT(!hugeLeaf(node.ents[idx]),
+                "descending through a huge leaf at vpn {}", vpn);
+    auto &kid = node.kids[idx];
+    if (!kid) {
+        kid = std::make_unique<Child>();
+        ++node_count;
+    }
+    return *kid;
+}
+
 } // namespace
 
-PageTable::PageTable() : root_(std::make_unique<Node>()), node_count_(1) {}
+PageTable::PageTable() : root_(std::make_unique<Pml4>()), node_count_(1)
+{
+    static_assert(sizeof(Leaf) == 4096,
+                  "a PT-level leaf node is one 4KB block of PTEs");
+}
 PageTable::~PageTable() = default;
 PageTable::PageTable(PageTable &&) noexcept = default;
 PageTable &PageTable::operator=(PageTable &&) noexcept = default;
@@ -62,60 +104,67 @@ PageTable::clone() const
     return copy;
 }
 
-PageTable::Node *
-PageTable::ensurePath(Vpn vpn, unsigned leaf_level)
+PageTable::Pd &
+PageTable::ensurePd(Vpn vpn)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level < leaf_level; ++level) {
-        const unsigned idx = levelIndex(vpn, level);
-        ATLB_ASSERT(!pte::present(node->ents[idx]) ||
-                        !pte::huge(node->ents[idx]),
-                    "descending through a huge leaf at vpn {}", vpn);
-        if (!node->kids[idx]) {
-            node->kids[idx] = std::make_unique<Node>();
-            ++node_count_;
-        }
-        node = node->kids[idx].get();
-    }
-    return node;
+    return ensureChild(ensureChild(*root_, vpn, 0, node_count_), vpn, 1,
+                       node_count_);
 }
 
-const std::uint64_t *
-PageTable::findLeaf(Vpn vpn, unsigned leaf_level) const
+const PageTable::Pd *
+PageTable::findPd(Vpn vpn) const
 {
-    const Node *node = root_.get();
-    for (unsigned level = 0; level < leaf_level; ++level) {
-        const unsigned idx = levelIndex(vpn, level);
-        if (!node->kids[idx])
-            return nullptr;
-        node = node->kids[idx].get();
-    }
-    return &node->ents[levelIndex(vpn, leaf_level)];
+    const Pdpt *pdpt = root_->kids[levelIndex(vpn, 0)].get();
+    if (!pdpt)
+        return nullptr;
+    return pdpt->kids[levelIndex(vpn, 1)].get();
+}
+
+PageTable::Pd *
+PageTable::findPd(Vpn vpn)
+{
+    return const_cast<Pd *>(std::as_const(*this).findPd(vpn));
 }
 
 std::uint64_t *
-PageTable::findLeaf(Vpn vpn, unsigned leaf_level)
+PageTable::findPte(Vpn vpn)
 {
-    return const_cast<std::uint64_t *>(
-        static_cast<const PageTable *>(this)->findLeaf(vpn, leaf_level));
+    Pd *pd = findPd(vpn);
+    if (!pd)
+        return nullptr;
+    Leaf *pt = pd->kids[levelIndex(vpn, 2)].get();
+    return pt ? &pt->ents[levelIndex(vpn, 3)] : nullptr;
 }
 
 void
-PageTable::map4K(Vpn vpn, Ppn ppn)
+PageTable::map4K(Vpn vpn, Ppn ppn, PageCount pages)
 {
-    Node *pt = ensurePath(vpn, 3);
-    std::uint64_t &e = pt->ents[levelIndex(vpn, 3)];
-    ATLB_ASSERT(!pte::present(e), "vpn {} already mapped", vpn);
-    // Preserve ignored bits: a neighbouring anchor may have parked its
-    // high contiguity byte here before this page was mapped.
-    e = pte::make(ppn) | (e & pte::contigMask);
-    ++mapped_4k_;
+    std::uint64_t left = pages;
+    while (left != 0) {
+        Leaf &pt = ensureChild(ensurePd(vpn), vpn, 2, node_count_);
+        const unsigned first = levelIndex(vpn, 3);
+        const unsigned n = static_cast<unsigned>(
+            std::min<std::uint64_t>(left, fanout - first));
+        std::uint64_t *slot = &pt.ents[first];
+        for (unsigned i = 0; i < n; ++i) {
+            ATLB_ASSERT(!pte::present(slot[i]), "vpn {} already mapped",
+                        vpn + i);
+            // Preserve ignored bits: a neighbouring anchor may have
+            // parked its high contiguity byte here before this page
+            // was mapped.
+            slot[i] = pte::make(ppn + i) | (slot[i] & pte::contigMask);
+        }
+        mapped_4k_ += n;
+        vpn += n;
+        ppn += n;
+        left -= n;
+    }
 }
 
 void
 PageTable::remap4K(Vpn vpn, Ppn ppn)
 {
-    std::uint64_t *e = findLeaf(vpn, 3);
+    std::uint64_t *e = findPte(vpn);
     ATLB_ASSERT(e && pte::present(*e) && !pte::huge(*e),
                 "remap of vpn {} which is not a 4KB mapping", vpn);
     *e = pte::make(ppn) | (*e & pte::contigMask);
@@ -124,7 +173,7 @@ PageTable::remap4K(Vpn vpn, Ppn ppn)
 void
 PageTable::unmap4K(Vpn vpn)
 {
-    std::uint64_t *e = findLeaf(vpn, 3);
+    std::uint64_t *e = findPte(vpn);
     ATLB_ASSERT(e && pte::present(*e) && !pte::huge(*e),
                 "unmap of vpn {} which is not a 4KB mapping", vpn);
     *e = 0;
@@ -137,10 +186,10 @@ PageTable::map2M(Vpn vpn, Ppn ppn)
     ATLB_ASSERT(vpn.isAligned(hugePages) && ppn.isAligned(hugePages),
                 "2MB mapping must be 512-page aligned (vpn {}, ppn {})",
                 vpn, ppn);
-    Node *pd = ensurePath(vpn, 2);
+    Pd &pd = ensurePd(vpn);
     const unsigned idx = levelIndex(vpn, 2);
-    ATLB_ASSERT(!pd->kids[idx], "2MB leaf over existing PT at vpn {}", vpn);
-    std::uint64_t &e = pd->ents[idx];
+    ATLB_ASSERT(!pd.kids[idx], "2MB leaf over existing PT at vpn {}", vpn);
+    std::uint64_t &e = pd.ents[idx];
     ATLB_ASSERT(!pte::present(e), "vpn {} already mapped", vpn);
     e = pte::make(ppn, true);
     ++mapped_2m_;
@@ -152,11 +201,11 @@ PageTable::map1G(Vpn vpn, Ppn ppn)
     ATLB_ASSERT(vpn.isAligned(giantPages) && ppn.isAligned(giantPages),
                 "1GB mapping must be 2^18-page aligned (vpn {}, ppn {})",
                 vpn, ppn);
-    Node *pdpt = ensurePath(vpn, 1);
+    Pdpt &pdpt = ensureChild(*root_, vpn, 0, node_count_);
     const unsigned idx = levelIndex(vpn, 1);
-    ATLB_ASSERT(!pdpt->kids[idx], "1GB leaf over existing PD at vpn {}",
+    ATLB_ASSERT(!pdpt.kids[idx], "1GB leaf over existing PD at vpn {}",
                 vpn);
-    std::uint64_t &e = pdpt->ents[idx];
+    std::uint64_t &e = pdpt.ents[idx];
     ATLB_ASSERT(!pte::present(e), "vpn {} already mapped", vpn);
     // A 1GB leaf's frame bits start at bit 30, so pte::make/pfn are
     // exact for naturally aligned frames.
@@ -168,30 +217,34 @@ WalkResult
 PageTable::walk(Vpn vpn) const
 {
     WalkResult res;
-    const Node *node = root_.get();
-    for (unsigned level = 0; level < 3; ++level) {
-        const unsigned idx = levelIndex(vpn, level);
-        ++res.levels;
-        if (level == 1 && pte::present(node->ents[idx]) &&
-            pte::huge(node->ents[idx])) {
-            res.present = true;
-            res.ppn = pte::pfn(node->ents[idx]) + giantOffset(vpn);
-            res.size = PageSize::Giant1G;
-            return res;
-        }
-        if (level == 2 && pte::present(node->ents[idx]) &&
-            pte::huge(node->ents[idx])) {
-            res.present = true;
-            res.ppn = pte::hugePfn(node->ents[idx]) + hugeOffset(vpn);
-            res.size = PageSize::Huge2M;
-            return res;
-        }
-        if (!node->kids[idx])
-            return res;
-        node = node->kids[idx].get();
+    res.levels = 1;
+    const Pdpt *pdpt = root_->kids[levelIndex(vpn, 0)].get();
+    if (!pdpt)
+        return res;
+    res.levels = 2;
+    const unsigned i1 = levelIndex(vpn, 1);
+    if (hugeLeaf(pdpt->ents[i1])) {
+        res.present = true;
+        res.ppn = pte::pfn(pdpt->ents[i1]) + giantOffset(vpn);
+        res.size = PageSize::Giant1G;
+        return res;
     }
-    ++res.levels;
-    const std::uint64_t e = node->ents[levelIndex(vpn, 3)];
+    const Pd *pd = pdpt->kids[i1].get();
+    if (!pd)
+        return res;
+    res.levels = 3;
+    const unsigned i2 = levelIndex(vpn, 2);
+    if (hugeLeaf(pd->ents[i2])) {
+        res.present = true;
+        res.ppn = pte::hugePfn(pd->ents[i2]) + hugeOffset(vpn);
+        res.size = PageSize::Huge2M;
+        return res;
+    }
+    const Leaf *pt = pd->kids[i2].get();
+    if (!pt)
+        return res;
+    res.levels = 4;
+    const std::uint64_t e = pt->ents[levelIndex(vpn, 3)];
     if (pte::present(e)) {
         res.present = true;
         res.ppn = pte::pfn(e);
@@ -203,43 +256,36 @@ PageTable::walk(Vpn vpn) const
 void
 PageTable::prefetchWalk(Vpn vpn) const
 {
-    const Node *node = root_.get();
-    for (unsigned level = 0; level < 3; ++level) {
-        const unsigned idx = levelIndex(vpn, level);
-        const std::uint64_t e = node->ents[idx];
-        // A huge leaf's PTE is in the line just loaded; done.
-        if (pte::present(e) && pte::huge(e))
-            return;
-        const Node *kid = node->kids[idx].get();
-        if (kid == nullptr)
-            return;
-        if (level == 2) {
-            __builtin_prefetch(&kid->ents[levelIndex(vpn, 3)], 0, 2);
-            return;
-        }
-        node = kid;
-    }
+    // A 1GB leaf has no PD child, so findPd stops there.
+    const Pd *pd = findPd(vpn);
+    if (!pd)
+        return;
+    const unsigned idx = levelIndex(vpn, 2);
+    // A huge leaf's PTE is in the line just loaded; done.
+    if (hugeLeaf(pd->ents[idx]))
+        return;
+    if (const Leaf *pt = pd->kids[idx].get())
+        __builtin_prefetch(&pt->ents[levelIndex(vpn, 3)], 0, 2);
 }
 
 std::uint64_t *
 PageTable::findAnchorSlot(Vpn avpn, bool &is_huge)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level < 3; ++level) {
-        const unsigned idx = levelIndex(avpn, level);
-        if (level == 2 && pte::present(node->ents[idx]) &&
-            pte::huge(node->ents[idx])) {
-            if (!avpn.isAligned(hugePages))
-                return nullptr; // inside a huge page, no slot exists
-            is_huge = true;
-            return &node->ents[idx];
-        }
-        if (!node->kids[idx])
-            return nullptr;
-        node = node->kids[idx].get();
+    Pd *pd = findPd(avpn);
+    if (!pd)
+        return nullptr;
+    const unsigned idx = levelIndex(avpn, 2);
+    if (hugeLeaf(pd->ents[idx])) {
+        if (!avpn.isAligned(hugePages))
+            return nullptr; // inside a huge page, no slot exists
+        is_huge = true;
+        return &pd->ents[idx];
     }
+    Leaf *pt = pd->kids[idx].get();
+    if (!pt)
+        return nullptr;
     is_huge = false;
-    return &node->ents[levelIndex(avpn, 3)];
+    return &pt->ents[levelIndex(avpn, 3)];
 }
 
 const std::uint64_t *

@@ -28,6 +28,15 @@
  * distance, 2^16): contiguity beyond the anchor distance is useless for
  * translation because any VPN farther than the distance from the anchor
  * has a closer anchor of its own.
+ *
+ * Node layout (DESIGN.md section 7.7): the node type is fixed by level.
+ * A PT-level leaf node is exactly 512 PTEs, one 4KB block, and nearly
+ * every node of a table is one; the PML4, PDPT and PD levels are
+ * interior nodes that hold 512 entries (1GB leaves at the PDPT level,
+ * 2MB leaves at the PD level) plus 512 owning child pointers, the PD
+ * level's children being leaf nodes. A walk therefore makes one load
+ * per level, exactly as a uniform node type would, and a clone copies
+ * each leaf node as one block.
  */
 
 #ifndef ANCHORTLB_OS_PAGE_TABLE_HH
@@ -131,7 +140,13 @@ struct WalkResult
 /**
  * Four-level radix page table for one process.
  *
- * Not thread-safe; each simulated process owns one instance.
+ * Leaf (PT-level) nodes are 4KB blocks of PTEs; interior nodes carry
+ * their entries plus the child pointers (see the file comment). The
+ * run form of map4K fills up to 512 PTEs of one leaf per descent, which
+ * is how table_builder lays out a mapping chunk.
+ *
+ * Not thread-safe to mutate; concurrent const readers are safe, and
+ * each simulated process owns (or clones) its own instance.
  */
 class PageTable
 {
@@ -158,8 +173,15 @@ class PageTable
      */
     PageTable clone() const;
 
-    /** Map one 4KB page. Must not already be mapped. */
-    void map4K(Vpn vpn, Ppn ppn);
+    /**
+     * Map @p pages 4KB pages: vpn + i -> ppn + i for i < @p pages. No
+     * page of the run may already be mapped (panics otherwise). Each
+     * leaf node is reached once and its slice of the run filled in one
+     * loop. Every PTE keeps the ignored bits it already held: an
+     * anchor may have parked its high contiguity byte in the entry
+     * after it before that page was mapped.
+     */
+    void map4K(Vpn vpn, Ppn ppn, PageCount pages = PageCount{1});
 
     /**
      * Map one 2MB page; @p vpn and @p ppn must be 512-page aligned and
@@ -262,8 +284,15 @@ class PageTable
     std::uint64_t nodeCount() const { return node_count_; }
 
   private:
-    struct Node;
-    std::unique_ptr<Node> root_;
+    /** A PT-level node: 512 PTEs, one 4KB block. */
+    struct Leaf;
+    /** A PML4/PDPT/PD node: 512 entries plus 512 owned @p Child nodes. */
+    template <class Child> struct Interior;
+    using Pd = Interior<Leaf>;
+    using Pdpt = Interior<Pd>;
+    using Pml4 = Interior<Pdpt>;
+
+    std::unique_ptr<Pml4> root_;
     std::uint64_t mapped_4k_ = 0;
     std::uint64_t mapped_2m_ = 0;
     std::uint64_t mapped_1g_ = 0;
@@ -271,9 +300,15 @@ class PageTable
     /** Anchor distance of the most recent sweep (none() = never). */
     AnchorDist swept_distance_{};
 
-    Node *ensurePath(Vpn vpn, unsigned leaf_level);
-    const std::uint64_t *findLeaf(Vpn vpn, unsigned leaf_level) const;
-    std::uint64_t *findLeaf(Vpn vpn, unsigned leaf_level);
+    /** The PD node covering @p vpn, allocating the path to it. */
+    Pd &ensurePd(Vpn vpn);
+
+    /** The PD node covering @p vpn, or nullptr if none exists. */
+    const Pd *findPd(Vpn vpn) const;
+    Pd *findPd(Vpn vpn);
+
+    /** The 4KB PTE slot of @p vpn, or nullptr if no leaf node holds it. */
+    std::uint64_t *findPte(Vpn vpn);
 
     /**
      * Locate the leaf entry that can hold an anchor for @p avpn: the PD

@@ -1,6 +1,7 @@
 #include "table_builder.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -13,25 +14,58 @@ namespace atlb
 namespace
 {
 
+/**
+ * A chunk is promotable iff VA and PA agree modulo the block size: then
+ * every aligned virtual block inside it has a naturally aligned
+ * physical base. (offsetIn equality is the typed spelling of
+ * (ppn - vpn) % block == 0.)
+ */
+bool
+promotable(const Chunk &c, std::uint64_t block)
+{
+    return c.ppn.offsetIn(block) == c.vpn.offsetIn(block);
+}
+
+/** The whole 2MB blocks of [vpn, limit), as [lo, hi); empty if lo == hi. */
+std::pair<Vpn, Vpn>
+hugeSpan(Vpn vpn, Vpn limit)
+{
+    const Vpn lo = std::min(vpn.alignUp(hugePages), limit);
+    return {lo, std::max(limit.alignDown(hugePages), lo)};
+}
+
+/** Map [*vpn, limit) of @p c with 4KB pages, as one run. */
+void
+map4KUpTo(PageTable &table, const Chunk &c, Vpn &vpn, Vpn limit)
+{
+    table.map4K(vpn, c.translate(vpn), limit - vpn);
+    vpn = limit;
+}
+
 /** Map [*vpn, limit) with 2MB leaves where possible, 4KB otherwise. */
 void
 mapUpTo(PageTable &table, const Chunk &c, Vpn &vpn, Vpn limit,
         bool thp_ok)
 {
     if (thp_ok) {
-        const Vpn huge_lo = std::min(vpn.alignUp(hugePages), limit);
-        const Vpn huge_hi =
-            std::max(limit.alignDown(hugePages), huge_lo);
-        for (; vpn < huge_lo; ++vpn)
-            table.map4K(vpn, c.translate(vpn));
+        const auto [huge_lo, huge_hi] = hugeSpan(vpn, limit);
+        map4KUpTo(table, c, vpn, huge_lo);
         for (; vpn < huge_hi; vpn += hugePages)
             table.map2M(vpn, c.translate(vpn));
     }
-    for (; vpn < limit; ++vpn)
-        table.map4K(vpn, c.translate(vpn));
+    map4KUpTo(table, c, vpn, limit);
 }
 
 } // namespace
+
+bool
+hasPromotableHugeBlock(const MemoryMap &map)
+{
+    return std::ranges::any_of(map.chunks(), [](const Chunk &c) {
+        const auto [lo, hi] = hugeSpan(c.vpn, c.vpnEnd());
+        return promotable(c, hugePages) && lo < hi;
+    });
+}
 
 PageTable
 buildPageTable(const MemoryMap &map, bool use_thp, bool use_1g)
@@ -41,17 +75,8 @@ buildPageTable(const MemoryMap &map, bool use_thp, bool use_1g)
     for (const Chunk &c : map.chunks()) {
         Vpn vpn = c.vpn;
         const Vpn end = c.vpnEnd();
-        // A chunk is promotable iff VA and PA agree modulo the block
-        // size: then every aligned virtual block inside it has a
-        // naturally aligned physical base.
-        // VA and PA must agree modulo the block size (offsetIn equality
-        // is the typed spelling of (ppn - vpn) % block == 0).
-        const bool thp_ok =
-            use_thp &&
-            c.ppn.offsetIn(hugePages) == c.vpn.offsetIn(hugePages);
-        const bool giant_ok =
-            use_1g &&
-            c.ppn.offsetIn(giantPages) == c.vpn.offsetIn(giantPages);
+        const bool thp_ok = use_thp && promotable(c, hugePages);
+        const bool giant_ok = use_1g && promotable(c, giantPages);
         if (giant_ok) {
             const Vpn giant_lo = std::min(vpn.alignUp(giantPages), end);
             const Vpn giant_hi =

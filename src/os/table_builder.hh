@@ -35,6 +35,14 @@ PageTable buildPageTable(const MemoryMap &map, bool use_thp,
                          bool use_1g = false);
 
 /**
+ * True iff buildPageTable(@p map, true) maps at least one 2MB leaf:
+ * some chunk's VA and PA agree modulo 2MB and it spans a whole aligned
+ * 2MB block. When false, the THP table is entry-for-entry the plain
+ * (all-4KB) table, so a caller may use one table for both.
+ */
+bool hasPromotableHugeBlock(const MemoryMap &map);
+
+/**
  * Build the anchor scheme's page table: THP layout plus anchors swept
  * at @p distance (power of two in [2, 2^16]).
  */

@@ -423,6 +423,7 @@ CellPairState::CellPairState(const SimOptions &options,
 {
     dynamic_distance_ =
         selectAnchorDistance(map_.contiguityHistogram()).distance;
+    thp_differs_ = hasPromotableHugeBlock(map_);
 }
 
 const PageTable &
@@ -437,6 +438,8 @@ CellPairState::plainTable() const
 const PageTable &
 CellPairState::thpTable() const
 {
+    if (!thp_differs_)
+        return plainTable();
     std::call_once(thp_once_, [this] {
         thp_table_ = buildPageTable(map_, true);
     });

@@ -193,6 +193,8 @@ enum class StreamUse : std::uint8_t
  * its dynamically selected anchor distance are built eagerly by the
  * constructor; the plain/THP page-table flavours are built lazily on
  * first use (std::call_once, so concurrent readers share one build).
+ * When the mapping has no promotable 2MB block the two flavours are
+ * entry-for-entry equal, and thpTable() returns plainTable() itself.
  * Anchor-swept tables are deliberately absent — the sweep mutates the
  * table, so every anchor job clones thpTable() once and sweeps its
  * private copy in place (runAnchorPasses, DESIGN.md §7.5), and
@@ -229,7 +231,11 @@ class CellPairState
     /** All-4KB table (Base / Cluster); built on first call. */
     const PageTable &plainTable() const;
 
-    /** THP table (THP / Cluster-2MB / RMM); built on first call. */
+    /**
+     * THP table (THP / Cluster-2MB / RMM); built on first call. The
+     * same object as plainTable() when hasPromotableHugeBlock(map()) is
+     * false, since the THP layout then maps no 2MB leaf.
+     */
     const PageTable &thpTable() const;
 
     /** One pass's access stream; see openStream(). */
@@ -295,6 +301,8 @@ class CellPairState
     WorkloadSpec spec_;
     MemoryMap map_;
     std::uint64_t dynamic_distance_ = 0;
+    /** The THP layout maps some 2MB leaf (else thpTable is plain). */
+    bool thp_differs_ = false;
     mutable std::once_flag plain_once_;
     mutable std::optional<PageTable> plain_table_;
     mutable std::once_flag thp_once_;

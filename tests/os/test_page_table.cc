@@ -419,6 +419,141 @@ TEST(PageTableAnchor, InPlaceSweepMatchesFreshBuild)
     EXPECT_GT(huge_anchors, 0u);
 }
 
+/**
+ * The table buildPageTable lays out for @p m, mapped one page (or one
+ * 2MB block) per call: the reference for the run-filled build.
+ */
+PageTable
+buildPageByPage(const MemoryMap &m, bool use_thp)
+{
+    PageTable t;
+    for (const Chunk &c : m.chunks()) {
+        const bool thp_ok = use_thp && c.ppn.offsetIn(hugePages) ==
+                                           c.vpn.offsetIn(hugePages);
+        for (Vpn v = c.vpn; v < c.vpnEnd();) {
+            if (thp_ok && v.isAligned(hugePages) &&
+                c.vpnEnd() - v >= PageCount{hugePages}) {
+                t.map2M(v, c.translate(v));
+                v += hugePages;
+            } else {
+                t.map4K(v, c.translate(v));
+                ++v;
+            }
+        }
+    }
+    return t;
+}
+
+TEST(PageTableRun, RunBuildMatchesPerPageBuild)
+{
+    std::uint64_t runs_2m = 0;
+    for (const ScenarioKind kind : allScenarios) {
+        SCOPED_TRACE(scenarioName(kind));
+        ScenarioParams p;
+        p.footprint_pages = 24 * 1024;
+        p.seed = 11;
+        p.demand_run_pages = 2048;
+        p.eager_run_pages = 2048;
+        const MemoryMap m = buildScenario(kind, p);
+        const std::vector<Vpn> vpns = mappedVpns(m);
+        for (const bool use_thp : {false, true}) {
+            SCOPED_TRACE(use_thp ? "thp" : "plain");
+            PageTable run = buildPageTable(m, use_thp);
+            PageTable page = buildPageByPage(m, use_thp);
+            expectSameCounts(run, page);
+            expectSameWalks(run, page, vpns);
+            EXPECT_EQ(run.mapped4K() + run.mapped2M() * hugePages,
+                      std::uint64_t{m.mappedPages()});
+            runs_2m += run.mapped2M();
+            for (const std::uint64_t d : {2, 256, 512, 65536}) {
+                SCOPED_TRACE(d);
+                run.sweepAnchors(m, dist(d));
+                page.sweepAnchors(m, dist(d));
+                for (const Vpn v : anchorVpns(m, dist(d))) {
+                    ASSERT_EQ(run.anchorContiguity(v, dist(d)),
+                              page.anchorContiguity(v, dist(d)))
+                        << "anchor vpn " << v.raw();
+                }
+                expectSameWalks(run, page, vpns);
+            }
+        }
+    }
+    // The THP layouts must include 2MB leaves between 4KB runs.
+    EXPECT_GT(runs_2m, 0u);
+}
+
+TEST(PageTableRun, RunCrossesTwoLeafBoundaries)
+{
+    // Starts 12 entries before the end of one leaf node, fills the next
+    // one whole and ends 30 entries into a third.
+    const Vpn first = base + 500;
+    const PageCount pages{12 + 512 + 30};
+    PageTable run;
+    run.map4K(first, Ppn{70000}, pages);
+    PageTable page;
+    for (Vpn v = first; v < first + pages; ++v)
+        page.map4K(v, Ppn{70000} + (v - first));
+
+    EXPECT_EQ(run.mapped4K(), std::uint64_t{pages});
+    // Root, PDPT, PD and three leaf nodes.
+    EXPECT_EQ(run.nodeCount(), 6u);
+    expectSameCounts(run, page);
+    std::vector<Vpn> vpns;
+    for (Vpn v = first - 2; v < first + pages + 2; ++v)
+        vpns.push_back(v);
+    expectSameWalks(run, page, vpns);
+    EXPECT_FALSE(run.walk(first - 1).present);
+    EXPECT_EQ(run.walk(base + 512).ppn, Ppn{70000 + 12});
+    EXPECT_EQ(run.walk(first + pages - 1).ppn,
+              Ppn{70000} + (std::uint64_t{pages} - 1));
+    EXPECT_FALSE(run.walk(first + pages).present);
+}
+
+TEST(PageTableRun, RunKeepsParkedHighContiguityByte)
+{
+    // The anchor at base parks the high byte of its contiguity in the
+    // next entry before that page is mapped; a run over the slot must
+    // keep the byte.
+    PageTable t;
+    t.map4K(base, Ppn{4096});
+    t.setAnchorContiguity(base, 300, dist(512));
+    t.map4K(base + 1, Ppn{4097}, PageCount{600});
+    EXPECT_EQ(t.anchorContiguity(base, dist(512)), 300u);
+    EXPECT_EQ(t.walk(base + 1).ppn, Ppn{4097});
+    EXPECT_EQ(t.walk(base + 600).ppn, Ppn{4096 + 600});
+    EXPECT_EQ(t.mapped4K(), 601u);
+}
+
+TEST(TableBuilder, PromotableHugeBlockPredicate)
+{
+    struct Case
+    {
+        std::uint64_t vpn_off;
+        std::uint64_t ppn;
+        std::uint64_t pages;
+        bool promotable;
+    };
+    // Aligned with one whole block; VA and PA disagreeing mod 2MB; an
+    // unaligned start with the block [512, 1024) inside; one with no
+    // whole aligned block; one page short of a block.
+    const std::vector<Case> cases = {
+        {0, 512 * 8, 600, true},
+        {0, 512 * 8 + 1, 600, false},
+        {100, 512 * 8 + 100, 1000, true},
+        {100, 512 * 8 + 100, 700, false},
+        {0, 512 * 8, 511, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "vpn +" << c.vpn_off << " ppn "
+                                        << c.ppn << " pages " << c.pages);
+        MemoryMap m;
+        m.add(base + c.vpn_off, Ppn{c.ppn}, PageCount{c.pages});
+        m.finalize();
+        EXPECT_EQ(hasPromotableHugeBlock(m), c.promotable);
+        EXPECT_EQ(buildPageTable(m, true).mapped2M() != 0, c.promotable);
+    }
+}
+
 class PageTableErrors : public ::testing::Test
 {
   protected:
@@ -444,6 +579,23 @@ TEST_F(PageTableErrors, HugeOverExisting4KPanics)
     PageTable t;
     t.map4K(base + 3, Ppn{1});
     EXPECT_THROW(t.map2M(base, Ppn{512}), std::logic_error);
+}
+
+TEST_F(PageTableErrors, RunOverMappedPagePanics)
+{
+    // The mapped page sits in the run's second leaf node.
+    PageTable t;
+    t.map4K(base + 700, Ppn{1});
+    EXPECT_THROW(t.map4K(base + 100, Ppn{5000}, PageCount{1000}),
+                 std::logic_error);
+}
+
+TEST_F(PageTableErrors, RunOverHugePagePanics)
+{
+    PageTable t;
+    t.map2M(base + 512, Ppn{512 * 4});
+    EXPECT_THROW(t.map4K(base + 500, Ppn{5000}, PageCount{20}),
+                 std::logic_error);
 }
 
 TEST_F(PageTableErrors, AnchorOnUnalignedVpnPanics)
