@@ -85,9 +85,9 @@ runMix(std::uint64_t frag_pages, std::uint64_t run_pages,
               [&](VirtAddr va) { base.translate(va); });
     out.base = base.stats().page_walks;
 
-    PageTable single_table =
-        buildAnchorPageTable(map, partition.default_distance);
-    AnchorMmu single(cfg, single_table, partition.default_distance);
+    // One THP table serves every distance and region (DESIGN.md 7.5).
+    const PageTable anchor_table = buildPageTable(map, true);
+    AnchorMmu single(cfg, anchor_table, partition.default_distance);
     driveBoth(map, partition.regions, accesses,
               [&](VirtAddr va) { single.translate(va); });
     out.single = single.stats().page_walks;
@@ -95,16 +95,14 @@ runMix(std::uint64_t frag_pages, std::uint64_t run_pages,
     // Oracle single distance: sweep all candidates.
     out.single_ideal = std::numeric_limits<std::uint64_t>::max();
     for (const std::uint64_t d : candidateDistances()) {
-        single_table.sweepAnchors(map, AnchorDist::fromPages(d));
-        AnchorMmu oracle(cfg, single_table, AnchorDist::fromPages(d));
+        AnchorMmu oracle(cfg, anchor_table, AnchorDist::fromPages(d));
         driveBoth(map, partition.regions, accesses,
                   [&](VirtAddr va) { oracle.translate(va); });
         out.single_ideal =
             std::min(out.single_ideal, oracle.stats().page_walks);
     }
 
-    PageTable multi_table = buildRegionAnchorPageTable(map, partition);
-    RegionAnchorMmu multi(cfg, multi_table, partition);
+    RegionAnchorMmu multi(cfg, anchor_table, partition);
     driveBoth(map, partition.regions, accesses,
               [&](VirtAddr va) { multi.translate(va); });
     out.multi = multi.stats().page_walks;

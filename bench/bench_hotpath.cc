@@ -144,8 +144,6 @@ struct CellState
     MemoryMap map;
     PageTable plain_table;
     PageTable thp_table;
-    PageTable anchor_table;
-    PageTable region_table;
     RegionPartition partition;
     std::uint64_t anchor_distance = 0;
     /** The stream's recording; null when it overran its budget. */
@@ -157,16 +155,11 @@ struct CellState
                                 opts, scaledWorkloadSpec(opts, workload)))),
           plain_table(buildPageTable(map, false)),
           thp_table(buildPageTable(map, true)),
-          anchor_table(buildPageTable(map, true)),
-          region_table(buildPageTable(map, false)),
           partition(partitionAnchorRegions(map))
     {
         const WorkloadSpec spec = scaledWorkloadSpec(opts, workload);
         anchor_distance =
             selectAnchorDistance(map.contiguityHistogram()).distance;
-        anchor_table.sweepAnchors(map,
-                                  AnchorDist::fromPages(anchor_distance));
-        region_table = buildRegionAnchorPageTable(map, partition);
 
         stream.resize(static_cast<std::size_t>(opts.accesses));
         const std::unique_ptr<TraceSource> trace =
@@ -203,9 +196,9 @@ struct CellState
             return std::make_unique<RmmMmu>(cfg, thp_table, map);
         if (scheme == "anchor")
             return std::make_unique<AnchorMmu>(
-                cfg, anchor_table, AnchorDist::fromPages(anchor_distance));
+                cfg, thp_table, AnchorDist::fromPages(anchor_distance));
         if (scheme == "region-anchor")
-            return std::make_unique<RegionAnchorMmu>(cfg, region_table,
+            return std::make_unique<RegionAnchorMmu>(cfg, thp_table,
                                                      partition);
         ATLB_FATAL("unknown hotpath scheme '{}'", scheme);
     }

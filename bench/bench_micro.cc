@@ -2,7 +2,7 @@
  * @file
  * Microbenchmarks (google-benchmark) for the simulator's hot paths:
  * TLB lookups, MMU translation pipelines, buddy allocation, page-table
- * walks, table builds, clones and anchor sweeps, trace generation, and
+ * walks, table builds and anchor-sweep counts, trace generation, and
  * distance selection.
  */
 
@@ -145,7 +145,7 @@ BM_SweepAnchors(benchmark::State &state)
 {
     const std::uint64_t distance = state.range(0);
     const MemoryMap map = benchMap(1 << 18);
-    PageTable table = buildPageTable(map, true);
+    const PageTable table = buildPageTable(map, true);
     for (auto _ : state) {
         benchmark::DoNotOptimize(table.sweepAnchors(map, AnchorDist::fromPages(distance)));
     }
@@ -154,9 +154,8 @@ BM_SweepAnchors(benchmark::State &state)
 }
 BENCHMARK(BM_SweepAnchors)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 
-// Building a THP table from the map and cloning a built one, on the map
-// BM_SweepAnchors sweeps: the per-job cost of an anchor table is one
-// clone plus one sweep per distance (DESIGN.md section 7.5).
+// Building a THP table from the map BM_SweepAnchors counts over: the
+// build also stores every slot's anchor contiguity (DESIGN.md 7.5).
 void
 BM_PageTableBuild(benchmark::State &state)
 {
@@ -167,18 +166,6 @@ BM_PageTableBuild(benchmark::State &state)
         state.iterations() * map.mappedPages()));
 }
 BENCHMARK(BM_PageTableBuild);
-
-void
-BM_PageTableClone(benchmark::State &state)
-{
-    const MemoryMap map = benchMap(1 << 18);
-    const PageTable table = buildPageTable(map, true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(table.clone());
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * map.mappedPages()));
-}
-BENCHMARK(BM_PageTableClone);
 
 void
 BM_TraceGeneration(benchmark::State &state)

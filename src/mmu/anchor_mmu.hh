@@ -53,8 +53,9 @@ class AnchorMmu : public Mmu
   public:
     /**
      * @param distance anchor distance; its page count must be a power
-     *                 of two in [2, max_contiguity]. The page table
-     *                 must have been swept with the same distance.
+     *                 of two in [2, max_contiguity]. Any table from
+     *                 buildPageTable serves every distance: its anchor
+     *                 contiguity is clipped to the distance at read.
      */
     AnchorMmu(const MmuConfig &config, const PageTable &table,
               AnchorDist distance, std::string name = "anchor");
@@ -92,8 +93,9 @@ class AnchorMmu : public Mmu
     bool supportsNested() const override { return true; }
 
     /**
-     * Change the anchor distance register (after the OS has re-swept
-     * the page table); flushes all TLBs like the paper's shootdown.
+     * Change the anchor distance register (where the paper's OS would
+     * also re-sweep the page table); flushes all TLBs like the paper's
+     * shootdown.
      */
     void setDistance(AnchorDist distance);
 

@@ -66,8 +66,9 @@ RegionAnchorMmu::translateL2(Vpn vpn)
     const Vpn avpn = distance.anchorOf(vpn);
     const std::uint64_t offset = distance.offsetOf(vpn);
 
-    // Anchors before the region's start were swept with the previous
-    // region's distance: not usable here.
+    // An anchor before the region's start belongs to the previous
+    // region, whose OS sets anchors for its own distance: not usable
+    // here.
     const bool anchor_in_region = !region || avpn >= region->begin;
     if (anchor_in_region) {
         if (const TlbEntry *e =

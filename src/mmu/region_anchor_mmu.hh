@@ -48,9 +48,9 @@ class RegionAnchorMmu : public Mmu
     static constexpr unsigned maxRegions = 16;
 
     /**
-     * @param partition regions + default distance; the page table must
-     *                  have been built with buildRegionAnchorPageTable
-     *                  over the same partition.
+     * @param partition regions + default distance. Any table built by
+     *                  buildPageTable serves it: anchor contiguity is
+     *                  read at each region's own distance.
      */
     RegionAnchorMmu(const MmuConfig &config, const PageTable &table,
                     RegionPartition partition,

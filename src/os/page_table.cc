@@ -13,12 +13,6 @@ namespace atlb
 struct PageTable::Leaf
 {
     std::array<std::uint64_t, fanout> ents{};
-
-    /** Copy of this node: one 4KB block. */
-    std::unique_ptr<Leaf> clone() const
-    {
-        return std::make_unique<Leaf>(*this);
-    }
 };
 
 template <class Child>
@@ -27,18 +21,6 @@ struct PageTable::Interior
     /** 1GB leaves at the PDPT level, 2MB leaves at the PD level. */
     std::array<std::uint64_t, fanout> ents{};
     std::array<std::unique_ptr<Child>, fanout> kids{};
-
-    /** Deep copy of this subtree. */
-    std::unique_ptr<Interior> clone() const
-    {
-        auto copy = std::make_unique<Interior>();
-        copy->ents = ents;
-        for (unsigned i = 0; i < fanout; ++i) {
-            if (kids[i])
-                copy->kids[i] = kids[i]->clone();
-        }
-        return copy;
-    }
 };
 
 namespace
@@ -50,6 +32,33 @@ levelIndex(Vpn vpn, unsigned level)
 {
     return static_cast<unsigned>((vpn.raw() >> (9 * (3 - level))) &
                                  (PageTable::fanout - 1));
+}
+
+/** Contiguity - 1 as one slot stores it: capped at @p cap pages. */
+std::uint64_t
+encodeRun(std::uint64_t run, std::uint64_t cap)
+{
+    return std::min(run, cap) - 1;
+}
+
+/**
+ * Store 16-bit @p encoded in the 4KB entry @p e, which is leaf entry 0:
+ * the low byte in @p e[0], the high byte parked in @p e[1].
+ */
+void
+storeWide(std::uint64_t *e, std::uint64_t encoded)
+{
+    e[0] = pte::withContigByte(e[0], static_cast<std::uint8_t>(encoded));
+    e[1] = pte::withContigByte(e[1],
+                               static_cast<std::uint8_t>(encoded >> 8));
+}
+
+/** Store 16-bit @p encoded in the 2MB leaf entry @p e. */
+std::uint64_t
+withHugeContiguity(std::uint64_t e, std::uint64_t encoded)
+{
+    e = pte::withHugeContigByte(e, static_cast<std::uint8_t>(encoded));
+    return pte::withContigByte(e, static_cast<std::uint8_t>(encoded >> 8));
 }
 
 /** True iff @p e is a present 1GB or 2MB leaf entry. */
@@ -91,19 +100,6 @@ PageTable::~PageTable() = default;
 PageTable::PageTable(PageTable &&) noexcept = default;
 PageTable &PageTable::operator=(PageTable &&) noexcept = default;
 
-PageTable
-PageTable::clone() const
-{
-    PageTable copy;
-    copy.root_ = root_->clone();
-    copy.mapped_4k_ = mapped_4k_;
-    copy.mapped_2m_ = mapped_2m_;
-    copy.mapped_1g_ = mapped_1g_;
-    copy.node_count_ = node_count_;
-    copy.swept_distance_ = swept_distance_;
-    return copy;
-}
-
 PageTable::Pd &
 PageTable::ensurePd(Vpn vpn)
 {
@@ -137,9 +133,12 @@ PageTable::findPte(Vpn vpn)
 }
 
 void
-PageTable::map4K(Vpn vpn, Ppn ppn, PageCount pages)
+PageTable::map4K(Vpn vpn, Ppn ppn, PageCount pages, PageCount run)
 {
+    ATLB_ASSERT(run >= pages, "run of {} pages shorter than the {} mapped",
+                run, pages);
     std::uint64_t left = pages;
+    std::uint64_t run_left = run;
     while (left != 0) {
         Leaf &pt = ensureChild(ensurePd(vpn), vpn, 2, node_count_);
         const unsigned first = levelIndex(vpn, 3);
@@ -149,15 +148,22 @@ PageTable::map4K(Vpn vpn, Ppn ppn, PageCount pages)
         for (unsigned i = 0; i < n; ++i) {
             ATLB_ASSERT(!pte::present(slot[i]), "vpn {} already mapped",
                         vpn + i);
-            // Preserve ignored bits: a neighbouring anchor may have
-            // parked its high contiguity byte here before this page
-            // was mapped.
-            slot[i] = pte::make(ppn + i) | (slot[i] & pte::contigMask);
+            // An even entry stores its own one-byte contiguity; an odd
+            // one keeps its ignored bits, since entry 1 may hold the
+            // high byte of an entry 0 mapped before it.
+            const std::uint64_t contig =
+                (first + i) % 2 == 0
+                    ? encodeRun(run_left - i, 256) << pte::contigShift
+                    : slot[i] & pte::contigMask;
+            slot[i] = pte::make(ppn + i) | contig;
         }
+        if (first == 0)
+            storeWide(slot, encodeRun(run_left, maxContiguity));
         mapped_4k_ += n;
         vpn += n;
         ppn += n;
         left -= n;
+        run_left -= n;
     }
 }
 
@@ -181,7 +187,7 @@ PageTable::unmap4K(Vpn vpn)
 }
 
 void
-PageTable::map2M(Vpn vpn, Ppn ppn)
+PageTable::map2M(Vpn vpn, Ppn ppn, PageCount run)
 {
     ATLB_ASSERT(vpn.isAligned(hugePages) && ppn.isAligned(hugePages),
                 "2MB mapping must be 512-page aligned (vpn {}, ppn {})",
@@ -191,7 +197,10 @@ PageTable::map2M(Vpn vpn, Ppn ppn)
     ATLB_ASSERT(!pd.kids[idx], "2MB leaf over existing PT at vpn {}", vpn);
     std::uint64_t &e = pd.ents[idx];
     ATLB_ASSERT(!pte::present(e), "vpn {} already mapped", vpn);
-    e = pte::make(ppn, true);
+    ATLB_ASSERT(run >= PageCount{hugePages},
+                "2MB page at vpn {} in a run of {} pages", vpn, run);
+    e = withHugeContiguity(pte::make(ppn, true),
+                           encodeRun(run, maxContiguity));
     ++mapped_2m_;
 }
 
@@ -307,41 +316,20 @@ PageTable::setAnchorContiguity(Vpn avpn, std::uint64_t contig,
 
     bool is_huge = false;
     std::uint64_t *e = findAnchorSlot(avpn, is_huge);
-    if (contig == 0) {
-        if (!e)
-            return; // nothing to clear
-        if (is_huge) {
-            *e = pte::withHugeContigByte(*e, 0);
-            *e = pte::withContigByte(*e, 0);
-        } else {
-            *e = pte::withContigByte(*e, 0);
-            if (distance.pages() > 256)
-                e[1] = pte::withContigByte(e[1], 0);
-        }
-        return;
-    }
+    if (contig == 0 && !e)
+        return; // nothing to clear
     ATLB_ASSERT(e, "anchor vpn {} has no slot for an anchor", avpn);
-    ATLB_ASSERT(pte::present(*e), "anchor vpn {} is not mapped", avpn);
+    ATLB_ASSERT(contig == 0 || pte::present(*e),
+                "anchor vpn {} is not mapped", avpn);
     // Store contig - 1 (paper footnote: value excludes the anchor page so
-    // the field's full range is usable).
-    const std::uint64_t encoded = contig - 1;
-    if (is_huge) {
-        // The single PD leaf holds all 16 bits: low byte below the 2MB
-        // frame field, high byte in the ignored bits.
-        *e = pte::withHugeContigByte(
-            *e, static_cast<std::uint8_t>(encoded & 0xff));
-        *e = pte::withContigByte(
-            *e, static_cast<std::uint8_t>((encoded >> 8) & 0xff));
-        return;
-    }
-    *e = pte::withContigByte(*e, static_cast<std::uint8_t>(encoded & 0xff));
-    if (distance.pages() > 256) {
-        // distance > 256 implies distance >= 512, so the anchor is the
-        // first entry of its cache line; entry index avpn%512 == 0 and the
-        // neighbour below is in the same node and the same cache line.
-        e[1] = pte::withContigByte(
-            e[1], static_cast<std::uint8_t>((encoded >> 8) & 0xff));
-    }
+    // the field's full range is usable); a cleared anchor stores 0.
+    const std::uint64_t encoded = contig == 0 ? 0 : contig - 1;
+    if (is_huge)
+        *e = withHugeContiguity(*e, encoded);
+    else if (avpn.isAligned(hugePages))
+        storeWide(e, encoded);
+    else // distance <= 256 here, so the value fits one byte
+        *e = pte::withContigByte(*e, static_cast<std::uint8_t>(encoded));
 }
 
 std::uint64_t
@@ -353,73 +341,41 @@ PageTable::anchorContiguity(Vpn avpn, AnchorDist distance) const
         return 0;
     std::uint64_t encoded;
     if (is_huge) {
+        if (distance.pages() < hugePages)
+            return 0;
         encoded = pte::hugeContigByte(*e) |
                   (static_cast<std::uint64_t>(pte::contigByte(*e)) << 8);
-        if (encoded == 0)
-            return 0; // huge leaf never swept as an anchor
     } else {
         encoded = pte::contigByte(*e);
-        if (distance.pages() > 256)
+        // Leaf entry 0: the high byte is parked in entry 1, in the same
+        // cache line.
+        if (avpn.isAligned(hugePages))
             encoded |=
                 static_cast<std::uint64_t>(pte::contigByte(e[1])) << 8;
     }
-    return encoded + 1;
+    return std::min(encoded + 1, distance.pages());
 }
 
 std::uint64_t
-PageTable::sweepAnchors(const MemoryMap &map, AnchorDist distance)
+PageTable::sweepAnchors(const MemoryMap &map, AnchorDist distance,
+                        AnchorDist from) const
 {
     ATLB_ASSERT(distance.valid() && distance.pages() <= maxContiguity,
                 "bad anchor distance {}", distance);
-    std::uint64_t touched = 0;
-
-    // Clear the previous distance's anchors so stale contiguity bytes
-    // cannot alias into the new encoding.
-    if (!swept_distance_.none() && swept_distance_ != distance) {
-        for (const Chunk &c : map.chunks()) {
-            for (Vpn avpn = c.vpn.alignUp(swept_distance_.pages());
-                 avpn < c.vpnEnd(); avpn += swept_distance_.pages()) {
-                setAnchorContiguity(avpn, 0, swept_distance_);
-                ++touched;
-            }
-        }
-    }
-
-    touched += sweepAnchorsRange(map, distance, Vpn{0}, invalidVpn);
-    swept_distance_ = distance;
-    return touched;
-}
-
-std::uint64_t
-PageTable::sweepAnchorsRange(const MemoryMap &map, AnchorDist distance,
-                             Vpn begin, Vpn end)
-{
-    ATLB_ASSERT(distance.valid() && distance.pages() <= maxContiguity,
-                "bad anchor distance {}", distance);
+    const bool clears = !from.none() && from != distance;
     std::uint64_t touched = 0;
     for (const Chunk &c : map.chunks()) {
-        const Vpn lo = std::max(c.vpn, begin);
-        const Vpn hi = std::min(c.vpnEnd(), end);
-        if (lo >= hi)
-            continue;
-        for (Vpn avpn = lo.alignUp(distance.pages()); avpn < hi;
+        // The clearing pass visits every aligned VPN of the old
+        // distance, whether or not it holds a slot.
+        if (clears) {
+            touched += (c.vpnEnd().alignUp(from.pages()) -
+                        c.vpn.alignUp(from.pages())) /
+                       from.pages();
+        }
+        for (Vpn avpn = c.vpn.alignUp(distance.pages()); avpn < c.vpnEnd();
              avpn += distance.pages()) {
-            bool is_huge = false;
-            const std::uint64_t *e = findAnchorSlot(avpn, is_huge);
-            if (!e || !pte::present(*e))
-                continue; // inside a huge page (distance < 512): no slot
-            if (is_huge && distance.pages() < hugePages) {
-                // An anchor covering less than a huge page would only
-                // displace the strictly better 2MB translation.
-                continue;
-            }
-            // Contiguity still runs to the chunk end: coverage beyond a
-            // region boundary is physically valid, merely unused.
-            const std::uint64_t run = c.vpnEnd() - avpn;
-            const std::uint64_t contig =
-                std::min({run, distance.pages(), maxContiguity});
-            setAnchorContiguity(avpn, contig, distance);
-            ++touched;
+            if (anchorContiguity(avpn, distance) != 0)
+                ++touched;
         }
     }
     return touched;

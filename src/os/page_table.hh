@@ -5,29 +5,33 @@
  * The table stores 4KB leaf PTEs at the PT level and 2MB leaf entries
  * (PS bit) at the PD level, mirroring x86-64. Anchor support follows the
  * paper's Figure 4: the entry whose VPN is aligned to the process's
- * anchor distance additionally carries a contiguity count in spare bits.
+ * anchor distance carries a contiguity count in spare bits.
  *
- * For a 4KB anchor PTE, values that do not fit in one entry's ignored
- * bits are distributed across the *next* PTE of the same 64B cache line
- * (paper Section 3.1): the low byte of (contiguity - 1) lives in the
- * anchor entry's bits [52, 60) and, for distances > 256 pages, the high
- * byte lives in the following entry's bits [52, 60). Distances > 256 are
- * always >= 512, so the anchor is the first entry of its cache line and
- * the neighbour is guaranteed to exist in the same line; reading it
- * costs no extra memory access, exactly as argued in the paper.
+ * The count is stored once, when the page is mapped, and does not
+ * depend on the distance (DESIGN.md section 7.5). Every slot that can
+ * be an anchor holds its run: the pages contiguous from it to the end
+ * of its mapping chunk, capped by what its bits can hold, minus one.
  *
- * An anchor VPN may itself be mapped by a 2MB page (possible only for
- * distances >= 512, which make the anchor VPN 2MB-aligned). The anchor
- * then lives in the PD-level leaf entry, whose physical-address field
- * only starts at bit 21: bits [13, 21) plus ignored bits [52, 60) give
- * the full 16-bit contiguity in a single entry. This is the natural
- * extension of the paper's scheme to THP-mapped regions and lets one
- * anchor cover runs spanning many 2MB pages.
+ *  - An even 4KB entry holds min(run, 256) - 1 in its ignored bits
+ *    [52, 60). Only distances <= 256 put an anchor there, and those
+ *    never need more.
+ *  - Leaf entry 0 (a 512-aligned VPN) holds min(run, 2^16) - 1: the low
+ *    byte in its own bits [52, 60), the high byte in the same bits of
+ *    entry 1, the next entry of the same 64B cache line (paper Section
+ *    3.1). Entry 1 is odd, so it is never an anchor itself; reading it
+ *    costs no extra memory access.
+ *  - A 2MB leaf holds min(run, 2^16) - 1 in one PD entry: the low byte
+ *    in bits [13, 21), below the 2MB frame field, and the high byte in
+ *    bits [52, 60). This is the natural extension of the paper's
+ *    scheme to THP-mapped regions, and lets one anchor cover runs
+ *    spanning many 2MB pages.
  *
- * The contiguity value stored is min(run length from the anchor, anchor
- * distance, 2^16): contiguity beyond the anchor distance is useless for
- * translation because any VPN farther than the distance from the anchor
- * has a closer anchor of its own.
+ * A read at distance d returns min(stored, d): contiguity beyond the
+ * distance is useless for translation, because any VPN farther than d
+ * from the anchor has a closer anchor of its own. That is exactly what
+ * the paper's OS writes when it sweeps the table for d, so a table
+ * built once serves every distance, is never written after its build,
+ * and is shared by every cell and thread that reads it.
  *
  * Node layout (DESIGN.md section 7.7): the node type is fixed by level.
  * A PT-level leaf node is exactly 512 PTEs, one 4KB block, and nearly
@@ -35,8 +39,7 @@
  * interior nodes that hold 512 entries (1GB leaves at the PDPT level,
  * 2MB leaves at the PD level) plus 512 owning child pointers, the PD
  * level's children being leaf nodes. A walk therefore makes one load
- * per level, exactly as a uniform node type would, and a clone copies
- * each leaf node as one block.
+ * per level, exactly as a uniform node type would.
  */
 
 #ifndef ANCHORTLB_OS_PAGE_TABLE_HH
@@ -143,10 +146,12 @@ struct WalkResult
  * Leaf (PT-level) nodes are 4KB blocks of PTEs; interior nodes carry
  * their entries plus the child pointers (see the file comment). The
  * run form of map4K fills up to 512 PTEs of one leaf per descent, which
- * is how table_builder lays out a mapping chunk.
+ * is how table_builder lays out a mapping chunk, and writes each slot's
+ * anchor contiguity in the same store.
  *
- * Not thread-safe to mutate; concurrent const readers are safe, and
- * each simulated process owns (or clones) its own instance.
+ * Immutable after its build on every simulation path: the anchor reads
+ * of every distance share the one table (see the file comment). Not
+ * thread-safe to mutate; concurrent const readers are safe.
  */
 class PageTable
 {
@@ -164,30 +169,31 @@ class PageTable
     PageTable(PageTable &&) noexcept;
     PageTable &operator=(PageTable &&) noexcept;
 
-    /**
-     * Deep copy: every node, entry (anchor bytes included), mapped
-     * count and the last swept distance. The copy shares nothing with
-     * this table, so it can be re-swept while this one is read
-     * concurrently. Copying stays explicit — the copy constructor is
-     * deleted so a table is never duplicated by accident.
-     */
-    PageTable clone() const;
+    /** Map @p pages 4KB pages as a run of exactly that length. */
+    void map4K(Vpn vpn, Ppn ppn, PageCount pages = PageCount{1})
+    {
+        map4K(vpn, ppn, pages, pages);
+    }
 
     /**
      * Map @p pages 4KB pages: vpn + i -> ppn + i for i < @p pages. No
-     * page of the run may already be mapped (panics otherwise). Each
-     * leaf node is reached once and its slice of the run filled in one
-     * loop. Every PTE keeps the ignored bits it already held: an
-     * anchor may have parked its high contiguity byte in the entry
-     * after it before that page was mapped.
+     * page of the run may already be mapped (panics otherwise). @p run
+     * (>= @p pages) is how many pages are contiguous from @p vpn, up to
+     * the end of its mapping chunk; each slot stores its share of it as
+     * anchor contiguity (file comment). Each leaf node is reached once
+     * and its slice of the run filled in one loop. Odd entries keep the
+     * ignored bits they already held: entry 1 may hold the high byte of
+     * an entry 0 mapped before it.
      */
-    void map4K(Vpn vpn, Ppn ppn, PageCount pages = PageCount{1});
+    void map4K(Vpn vpn, Ppn ppn, PageCount pages, PageCount run);
 
     /**
      * Map one 2MB page; @p vpn and @p ppn must be 512-page aligned and
-     * the region must not intersect existing mappings.
+     * the region must not intersect existing mappings. @p run (>= 512)
+     * is how many pages are contiguous from @p vpn, stored as the
+     * leaf's anchor contiguity.
      */
-    void map2M(Vpn vpn, Ppn ppn);
+    void map2M(Vpn vpn, Ppn ppn, PageCount run = PageCount{hugePages});
 
     /**
      * Map one 1GB page at the PDPT level; @p vpn and @p ppn must be
@@ -198,7 +204,7 @@ class PageTable
     /**
      * Change the frame of an existing 4KB mapping (page migration).
      * Anchor contiguity bytes stored in the entry are preserved; the
-     * OS is responsible for updating the affected anchor via
+     * OS is responsible for updating the affected anchors via
      * setAnchorContiguity and shooting down stale TLB entries.
      */
     void remap4K(Vpn vpn, Ppn ppn);
@@ -224,52 +230,44 @@ class PageTable
     void prefetchWalk(Vpn vpn) const;
 
     /**
-     * Set the anchor contiguity stored at the leaf entry for @p avpn.
-     * @param avpn      anchor VPN (aligned to the anchor distance)
-     * @param contig    pages contiguous from the anchor, in [1, 2^16];
-     *                  0 clears the anchor.
-     * @param distance  current anchor distance (decides the encoding).
+     * Overwrite the contiguity stored at the anchor slot of @p avpn,
+     * the way an OS updates an anchor after a page migrates.
+     * @param avpn      anchor VPN (aligned to @p distance)
+     * @param contig    pages contiguous from the anchor, in
+     *                  [1, min(distance, 2^16)]; 0 clears the anchor,
+     *                  which then covers only its own page.
+     * @param distance  the anchor distance the value is meant for.
      *
      * The anchor lives in the 4KB PTE for @p avpn, or — when @p avpn is
      * the 2MB-aligned start of a huge mapping — in the PD leaf entry.
      * An anchor VPN that falls strictly inside a huge page (only
      * possible for distances < 512) cannot hold an anchor; such calls
-     * are rejected for non-zero @p contig.
+     * are rejected for non-zero @p contig. A read at any distance
+     * d >= @p contig then returns @p contig.
      */
     void setAnchorContiguity(Vpn avpn, std::uint64_t contig,
                              AnchorDist distance);
 
     /**
-     * Read back the anchor contiguity at @p avpn (0 if the entry is not
-     * present, is huge-mapped, or carries no anchor).
+     * The anchor contiguity at @p avpn for @p distance: min(stored,
+     * distance). 0 when no present slot holds @p avpn (unmapped, or
+     * strictly inside a huge page), and 0 for a 2MB slot when
+     * @p distance < 512: such an anchor would only displace the
+     * strictly better 2MB translation. Leaf entry 0 always reads both
+     * bytes, from the one cache line.
      */
     std::uint64_t anchorContiguity(Vpn avpn, AnchorDist distance) const;
 
     /**
-     * Recompute every anchor entry for @p distance from the mapping.
-     * Clears stale contiguity bytes first (the previous distance's
-     * anchors), then writes min(run, distance, 2^16) at each aligned
-     * anchor whose PTE is a present 4KB entry.
-     *
-     * @return number of page-table entries visited (the paper's
-     *         distance-change cost is proportional to this).
+     * The cost, in page-table entries, of the paper's distance change
+     * (Section 3.3) from @p from (none() for a table never swept) to
+     * @p distance: a clearing pass over every @p from-aligned VPN of
+     * every chunk, then every anchor slot that holds contiguity at
+     * @p distance. Counts only; the contiguity this table stores is
+     * already correct for every distance.
      */
-    std::uint64_t sweepAnchors(const MemoryMap &map, AnchorDist distance);
-
-    /**
-     * Sweep anchors for @p distance only within [begin, end) — used by
-     * the multi-region extension, where each VA region carries its own
-     * distance. Performs no clearing pass: intended for freshly built
-     * tables (or after sweepAnchorsRange over the same bounds).
-     *
-     * @return number of page-table entries visited.
-     */
-    std::uint64_t sweepAnchorsRange(const MemoryMap &map,
-                                    AnchorDist distance, Vpn begin,
-                                    Vpn end);
-
-    /** Distance of the most recent sweepAnchors (none() = never). */
-    AnchorDist sweptDistance() const { return swept_distance_; }
+    std::uint64_t sweepAnchors(const MemoryMap &map, AnchorDist distance,
+                               AnchorDist from = AnchorDist{}) const;
 
     /** Count of present 4KB leaf entries. */
     std::uint64_t mapped4K() const { return mapped_4k_; }
@@ -297,8 +295,6 @@ class PageTable
     std::uint64_t mapped_2m_ = 0;
     std::uint64_t mapped_1g_ = 0;
     std::uint64_t node_count_ = 0;
-    /** Anchor distance of the most recent sweep (none() = never). */
-    AnchorDist swept_distance_{};
 
     /** The PD node covering @p vpn, allocating the path to it. */
     Pd &ensurePd(Vpn vpn);

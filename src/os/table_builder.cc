@@ -6,7 +6,6 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "os/memory_map.hh"
-#include "os/region_partitioner.hh"
 
 namespace atlb
 {
@@ -34,11 +33,14 @@ hugeSpan(Vpn vpn, Vpn limit)
     return {lo, std::max(limit.alignDown(hugePages), lo)};
 }
 
-/** Map [*vpn, limit) of @p c with 4KB pages, as one run. */
+/**
+ * Map [*vpn, limit) of @p c with 4KB pages, as one run whose slots
+ * store their contiguity to the chunk's end.
+ */
 void
 map4KUpTo(PageTable &table, const Chunk &c, Vpn &vpn, Vpn limit)
 {
-    table.map4K(vpn, c.translate(vpn), limit - vpn);
+    table.map4K(vpn, c.translate(vpn), limit - vpn, c.vpnEnd() - vpn);
     vpn = limit;
 }
 
@@ -51,7 +53,7 @@ mapUpTo(PageTable &table, const Chunk &c, Vpn &vpn, Vpn limit,
         const auto [huge_lo, huge_hi] = hugeSpan(vpn, limit);
         map4KUpTo(table, c, vpn, huge_lo);
         for (; vpn < huge_hi; vpn += hugePages)
-            table.map2M(vpn, c.translate(vpn));
+            table.map2M(vpn, c.translate(vpn), c.vpnEnd() - vpn);
     }
     map4KUpTo(table, c, vpn, limit);
 }
@@ -93,21 +95,10 @@ buildPageTable(const MemoryMap &map, bool use_thp, bool use_1g)
 PageTable
 buildAnchorPageTable(const MemoryMap &map, AnchorDist distance)
 {
-    PageTable table = buildPageTable(map, true);
-    table.sweepAnchors(map, distance);
-    return table;
-}
-
-PageTable
-buildRegionAnchorPageTable(const MemoryMap &map,
-                           const RegionPartition &partition)
-{
-    PageTable table = buildPageTable(map, true);
-    for (const AnchorRegion &region : partition.regions) {
-        table.sweepAnchorsRange(map, region.distance, region.begin,
-                                region.end);
-    }
-    return table;
+    ATLB_ASSERT(distance.valid() &&
+                    distance.pages() <= PageTable::maxContiguity,
+                "bad anchor distance {}", distance);
+    return buildPageTable(map, true);
 }
 
 } // namespace atlb

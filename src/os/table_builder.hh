@@ -8,8 +8,9 @@
  *  - Base / plain cluster: every page is a 4KB PTE (no THP).
  *  - THP / cluster-2MB / RMM: 2MB-eligible blocks become PD-level huge
  *    leaves (ideal transparent-huge-page promotion), the rest 4KB.
- *  - Anchor: THP layout plus an anchor sweep at the process's anchor
- *    distance (paper Section 3.1).
+ *  - Anchor: the THP layout. Every table stores each slot's anchor
+ *    contiguity as it is built, for any distance (os/page_table.hh),
+ *    so the anchor schemes read the THP table itself.
  */
 
 #ifndef ANCHORTLB_OS_TABLE_BUILDER_HH
@@ -43,19 +44,10 @@ PageTable buildPageTable(const MemoryMap &map, bool use_thp,
 bool hasPromotableHugeBlock(const MemoryMap &map);
 
 /**
- * Build the anchor scheme's page table: THP layout plus anchors swept
- * at @p distance (power of two in [2, 2^16]).
+ * Build the anchor scheme's page table for @p distance (power of two in
+ * [2, 2^16]): the THP table, which serves every distance.
  */
 PageTable buildAnchorPageTable(const MemoryMap &map, AnchorDist distance);
-
-struct RegionPartition;
-
-/**
- * Build the multi-region anchor page table (paper Section 4.2): THP
- * layout plus per-region anchor sweeps at each region's own distance.
- */
-PageTable buildRegionAnchorPageTable(const MemoryMap &map,
-                                     const RegionPartition &partition);
 
 } // namespace atlb
 

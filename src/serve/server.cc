@@ -352,6 +352,13 @@ SweepServer::resolveCells(const SweepRequest &request,
         if (inflight != inflight_.end()) {
             ++counters_.dedups;
             joined.push_back({i, key, inflight->second});
+        } else if (std::optional<SimResult> cached = store_.lookup(key)) {
+            // Its owner published (store, then erase under state_m_)
+            // after the lookup above: claiming now would simulate the
+            // cell twice.
+            reply.status = CellStatus::Hit;
+            reply.result = *std::move(cached);
+            ++counters_.hits;
         } else {
             auto entry = std::make_shared<Inflight>();
             inflight_.emplace(key.raw(), entry);

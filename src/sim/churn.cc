@@ -62,7 +62,9 @@ runMappingChurn(Scheme scheme, const std::vector<ChurnEpoch> &epochs,
         es.scenario = scenarioName(epoch.scenario);
 
         // OS work at the boundary: rebuild the table, re-run the
-        // distance controller, sweep if it changed, shoot down.
+        // distance controller, count the entries the paper's anchor
+        // sweep touches (the table already stores every distance's
+        // contiguity), shoot down.
         if (is_anchor) {
             es.distance_changed =
                 controller.epoch(next.contiguityHistogram());

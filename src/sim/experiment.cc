@@ -367,19 +367,16 @@ visitOrder(std::span<const std::uint64_t> distances, std::uint64_t dynamic)
 
 std::vector<AnchorPass>
 runAnchorPasses(const SimOptions &options, const CellPairState &pair,
-                PageTable &table, Scheme scheme,
-                std::span<const std::uint64_t> distances)
+                Scheme scheme, std::span<const std::uint64_t> distances)
 {
     const std::uint64_t accesses = cellAccesses(options, pair.spec());
     std::vector<AnchorPass> passes(distances.size());
     std::optional<std::uint64_t> bound;
     for (const std::size_t i : visitOrder(distances, pair.dynamicDistance())) {
-        const AnchorDist distance = AnchorDist::fromPages(distances[i]);
-        if (table.sweptDistance() != distance)
-            table.sweepAnchors(pair.map(), distance);
         AnchorPass &pass = passes[i];
-        SimResult res = runSchemeCell(options, pair, table, scheme,
-                                      distances[i], &pass.use, bound);
+        SimResult res =
+            runSchemeCell(options, pair, pair.thpTable(), scheme,
+                          distances[i], &pass.use, bound);
         pass.skipped = accesses - res.stats.accesses;
         if (bound && res.misses() > *bound)
             continue;
@@ -512,23 +509,6 @@ CellPairState::recordingBytes() const
     return record_.recording ? record_.recording->bytes() : 0;
 }
 
-/**
- * One cached pair: the shared pair state (mapping, plain/THP tables,
- * stream recording) plus the serial path's anchor table, which
- * runScheme and runIdealSweep re-sweep in place for each distance.
- */
-struct ExperimentContext::PairState
-{
-    PairState(const SimOptions &options, const std::string &workload,
-              ScenarioKind scenario)
-        : pair(options, workload, scenario)
-    {
-    }
-
-    CellPairState pair;
-    std::optional<PageTable> anchor_table;
-};
-
 ExperimentContext::ExperimentContext(SimOptions options)
     : options_(options)
 {
@@ -560,14 +540,13 @@ ExperimentContext::sizeCacheForPairs(std::size_t distinct_pairs)
         cache_.pop_front();
 }
 
-ExperimentContext::PairState &
+const CellPairState &
 ExperimentContext::pairState(const std::string &workload,
                              ScenarioKind scenario)
 {
     ++counters_.lookups;
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-        if ((*it)->pair.workload() == workload &&
-            (*it)->pair.scenario() == scenario) {
+        if ((*it)->workload() == workload && (*it)->scenario() == scenario) {
             ++counters_.hits;
             // LRU: move the hit to the back (most recently used) so
             // revisited pairs survive sweeps over other pairs.
@@ -581,7 +560,7 @@ ExperimentContext::pairState(const std::string &workload,
     }
 
     cache_.push_back(
-        std::make_unique<PairState>(options_, workload, scenario));
+        std::make_unique<CellPairState>(options_, workload, scenario));
     // Page tables are tens of MB for big footprints: bound the number of
     // pairs kept alive (ANCHORTLB_CACHE_PAIRS), evicting the LRU front.
     while (cache_.size() > options_.cache_pairs)
@@ -593,14 +572,14 @@ const MemoryMap &
 ExperimentContext::mapping(const std::string &workload,
                            ScenarioKind scenario)
 {
-    return pairState(workload, scenario).pair.map();
+    return pairState(workload, scenario).map();
 }
 
 std::uint64_t
 ExperimentContext::dynamicDistance(const std::string &workload,
                                    ScenarioKind scenario)
 {
-    return pairState(workload, scenario).pair.dynamicDistance();
+    return pairState(workload, scenario).dynamicDistance();
 }
 
 void
@@ -620,50 +599,21 @@ ExperimentContext::countStream(StreamUse use, const CellPairState &pair)
     }
 }
 
-PageTable &
-ExperimentContext::anchorTable(PairState &state)
-{
-    if (!state.anchor_table)
-        state.anchor_table = buildPageTable(state.pair.map(), true);
-    return *state.anchor_table;
-}
-
 SimResult
-ExperimentContext::runScheme(PairState &state, Scheme scheme,
+ExperimentContext::runScheme(const CellPairState &pair, Scheme scheme,
                              std::uint64_t anchor_distance)
 {
-    const CellPairState &pair = state.pair;
-    const PageTable *table = nullptr;
-    switch (scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        table = &pair.plainTable();
-        break;
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        table = &pair.thpTable();
-        break;
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal: {
-        PageTable &anchor = anchorTable(state);
-        const AnchorDist distance = AnchorDist::fromPages(anchor_distance);
-        if (anchor.sweptDistance() != distance)
-            anchor.sweepAnchors(pair.map(), distance);
-        table = &anchor;
-        break;
-      }
-    }
-    ATLB_ASSERT(table, "no page table built for scheme");
+    const bool plain = scheme == Scheme::Base || scheme == Scheme::Cluster;
     StreamUse use = StreamUse::Direct;
-    SimResult res = runSchemeCell(options_, pair, *table, scheme,
-                                  anchor_distance, &use);
+    SimResult res = runSchemeCell(
+        options_, pair, plain ? pair.plainTable() : pair.thpTable(),
+        scheme, anchor_distance, &use);
     countStream(use, pair);
     return res;
 }
 
 SimResult
-ExperimentContext::runIdealSweep(PairState &state)
+ExperimentContext::runIdealSweep(const CellPairState &pair)
 {
     // Oracle: the first candidate distance with the fewest misses
     // (paper's "static ideal"). The reduction walks candidates in
@@ -672,19 +622,17 @@ ExperimentContext::runIdealSweep(PairState &state)
     const std::vector<std::uint64_t> distances = candidateDistances();
     const std::vector<RankChunk> chunks =
         idealRankChunks(options_.threads, distances.size());
-    const CellPairState &pair = state.pair;
     std::vector<AnchorPass> passes;
     if (chunks.size() == 1) {
-        passes = runAnchorPasses(options_, pair, anchorTable(state),
-                                 Scheme::AnchorIdeal, distances);
+        passes = runAnchorPasses(options_, pair, Scheme::AnchorIdeal,
+                                 distances);
     } else {
         passes.resize(distances.size());
         ThreadPool pool(static_cast<unsigned>(chunks.size()));
         for (const RankChunk &chunk : chunks) {
             pool.submit([this, &pair, &distances, &passes, chunk] {
-                PageTable table = pair.thpTable().clone();
                 std::vector<AnchorPass> part = runAnchorPasses(
-                    options_, pair, table, Scheme::AnchorIdeal,
+                    options_, pair, Scheme::AnchorIdeal,
                     std::span(distances).subspan(chunk.lo,
                                                  chunk.hi - chunk.lo));
                 std::move(part.begin(), part.end(),
@@ -742,18 +690,18 @@ ExperimentContext::run(const std::string &workload, ScenarioKind scenario,
         }
     }
 
-    PairState &state = pairState(workload, scenario);
+    const CellPairState &pair = pairState(workload, scenario);
 
     SimResult result;
     if (scheme == Scheme::AnchorIdeal) {
-        result = runIdealSweep(state);
+        result = runIdealSweep(pair);
     } else {
         std::uint64_t distance = 0;
         if (scheme == Scheme::Anchor) {
             distance = distance_override ? *distance_override
-                                         : state.pair.dynamicDistance();
+                                         : pair.dynamicDistance();
         }
-        result = runScheme(state, scheme, distance);
+        result = runScheme(pair, scheme, distance);
     }
 
     if (result_cache_)

@@ -169,8 +169,8 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
  * Run one fully specified cell: build @p scheme's MMU over the prebuilt
  * @p table and stream the workload's trace through it. @p table must
  * match the scheme's table flavour (plain 4KB for Base/Cluster, THP for
- * THP/Cluster-2MB/RMM, anchor-swept at @p anchor_distance for the
- * anchor schemes). The stream comes straight from makeCellTrace; the
+ * THP/Cluster-2MB/RMM and the anchor schemes, which read it at
+ * @p anchor_distance). The stream comes straight from makeCellTrace; the
  * CellPairState overload below is the same body with the pair's
  * recorded stream, and is what every executor runs.
  */
@@ -195,10 +195,10 @@ enum class StreamUse : std::uint8_t
  * first use (std::call_once, so concurrent readers share one build).
  * When the mapping has no promotable 2MB block the two flavours are
  * entry-for-entry equal, and thpTable() returns plainTable() itself.
- * Anchor-swept tables are deliberately absent — the sweep mutates the
- * table, so every anchor job clones thpTable() once and sweeps its
- * private copy in place (runAnchorPasses, DESIGN.md §7.5), and
- * ExperimentContext's serial path keeps its own re-swept table.
+ * The anchor schemes read thpTable() too: its anchor contiguity is
+ * stored once at build and clipped to the distance at read
+ * (DESIGN.md §7.5), so no table is written after its build and every
+ * cell and thread of the pair shares the same two tables.
  *
  * The pair also owns its access stream's run-length recording: the
  * pair's first pass tees its source into one, and every later pass
@@ -210,9 +210,8 @@ enum class StreamUse : std::uint8_t
  * state across option sets key on those two fields plus the pair.
  *
  * This one type is the pair state of every executor: the parallel
- * sweep engine and the serve-side cell scheduler share it directly,
- * and ExperimentContext's serial cache wraps it with the in-place
- * anchor table its single-threaded passes re-sweep per distance.
+ * sweep engine, the serve-side cell scheduler and ExperimentContext's
+ * serial cache all hold it directly.
  */
 class CellPairState
 {
@@ -349,14 +348,9 @@ struct AnchorPass
 
 /**
  * The only Static Ideal loop, and the anchor-pass body of every
- * executor (DESIGN.md §7.5, §7.6): for each of @p distances, re-sweep
- * @p table in place for it (PageTable::sweepAnchors, skipped when the
- * table is already swept there) and run one @p scheme pass over it.
- * Never rebuilds a table from the mapping. The job paths pass a fresh
- * clone of pair.thpTable(); ExperimentContext's serial path passes its
- * cached per-pair table. The pair's own tables are only read, so
- * concurrent calls may share @p pair as long as each has its own
- * @p table.
+ * executor (DESIGN.md §7.5, §7.6): run one @p scheme pass over
+ * pair.thpTable() for each of @p distances. The table is only read, so
+ * concurrent calls may share @p pair.
  *
  * The passes run under an exact walk bound: the fewest misses of the
  * passes this call has finished so far. A pass whose walks exceed it
@@ -372,8 +366,7 @@ struct AnchorPass
  */
 std::vector<AnchorPass>
 runAnchorPasses(const SimOptions &options, const CellPairState &pair,
-                PageTable &table, Scheme scheme,
-                std::span<const std::uint64_t> distances);
+                Scheme scheme, std::span<const std::uint64_t> distances);
 
 /** Half-open range [lo, hi) of Static Ideal candidate ranks. */
 struct RankChunk
@@ -385,8 +378,8 @@ struct RankChunk
 /**
  * Split candidate ranks [0, @p candidates) into min(@p threads,
  * @p candidates) contiguous chunks of near-equal size, in rank order
- * (at least one chunk). Each chunk is one runAnchorPasses call, so a
- * Static Ideal cell costs one table clone per chunk.
+ * (at least one chunk). Each chunk is one runAnchorPasses call, with
+ * its own walk bound.
  */
 std::vector<RankChunk> idealRankChunks(unsigned threads,
                                        std::size_t candidates);
@@ -486,7 +479,7 @@ class ExperimentContext
     /**
      * Run one cell. For Scheme::Anchor the distance comes from the
      * dynamic selection algorithm unless @p distance_override is given;
-     * for Scheme::AnchorIdeal every candidate distance is swept and the
+     * for Scheme::AnchorIdeal every candidate distance is tried and the
      * best (fewest misses) run is returned.
      */
     SimResult run(const std::string &workload, ScenarioKind scenario,
@@ -567,33 +560,28 @@ class ExperimentContext
     void clearCache();
 
   private:
-    struct PairState;
-
     SimOptions options_;
     /** LRU order: front = coldest, back = most recently used. */
-    std::deque<std::unique_ptr<PairState>> cache_;
+    std::deque<std::unique_ptr<CellPairState>> cache_;
     CacheCounters counters_;
     ResultCache *result_cache_ = nullptr; //!< borrowed, may be null
     /** Per-workload trace content hashes (files hashed once). */
     std::unordered_map<std::string, std::uint64_t> trace_hashes_;
 
     std::uint64_t traceHashFor(const std::string &workload);
-    PairState &pairState(const std::string &workload,
-                         ScenarioKind scenario);
-    PageTable &anchorTable(PairState &state);
-    SimResult runScheme(PairState &state, Scheme scheme,
+    const CellPairState &pairState(const std::string &workload,
+                                   ScenarioKind scenario);
+    SimResult runScheme(const CellPairState &pair, Scheme scheme,
                         std::uint64_t anchor_distance);
     void countStream(StreamUse use, const CellPairState &pair);
     /**
-     * The Static Ideal cell of @p state's pair: every candidate
-     * distance through runAnchorPasses, reduced by firstMinimumRun.
-     * One thread sweeps the pair's cached anchor table; with
+     * The Static Ideal cell of @p pair: every candidate distance
+     * through runAnchorPasses, reduced by firstMinimumRun. With
      * threads > 1 the candidates split into idealRankChunks across a
-     * pool, each chunk sweeping its own clone of the THP table under
-     * its own walk bound. Counts every pass's stream use and the
-     * passes the bound stopped.
+     * pool, each chunk under its own walk bound. Counts every pass's
+     * stream use and the passes the bound stopped.
      */
-    SimResult runIdealSweep(PairState &state);
+    SimResult runIdealSweep(const CellPairState &pair);
 };
 
 /**

@@ -108,9 +108,8 @@ runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
             });
             const CellJob &job = jobs[leaf.cell];
             if (job.scheme == Scheme::AnchorIdeal) {
-                PageTable table = slot.shared->thpTable().clone();
                 std::vector<AnchorPass> part = runAnchorPasses(
-                    options, *slot.shared, table, job.scheme,
+                    options, *slot.shared, job.scheme,
                     std::span(distances).subspan(
                         leaf.ranks.lo, leaf.ranks.hi - leaf.ranks.lo));
                 std::move(part.begin(), part.end(),
@@ -179,25 +178,17 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
       case Scheme::Cluster2MB:
       case Scheme::Rmm:
         return runSchemeCell(options, pair, pair.thpTable(), job.scheme, 0);
-      case Scheme::Anchor: {
-        const std::uint64_t distance = job.distance_override
-                                           ? *job.distance_override
-                                           : pair.dynamicDistance();
-        PageTable table = pair.thpTable().clone();
-        return *std::move(
-            runAnchorPasses(options, pair, table, job.scheme,
-                            {&distance, 1})
-                .front()
-                .result);
-      }
+      case Scheme::Anchor:
+        return runSchemeCell(options, pair, pair.thpTable(), job.scheme,
+                             job.distance_override
+                                 ? *job.distance_override
+                                 : pair.dynamicDistance());
       case Scheme::AnchorIdeal: {
-        // Every candidate on one table inside one job, under the
-        // call's walk bound; the first minimum in canonical candidate
-        // order wins, matching both the serial sweep and the parallel
-        // engine's reduction.
-        PageTable table = pair.thpTable().clone();
+        // Every candidate inside one job, under the call's walk bound;
+        // the first minimum in canonical candidate order wins, matching
+        // both the serial sweep and the parallel engine's reduction.
         std::vector<AnchorPass> passes = runAnchorPasses(
-            options, pair, table, job.scheme, candidateDistances());
+            options, pair, job.scheme, candidateDistances());
         return *std::move(passes[firstMinimumRun(passes)].result);
       }
     }

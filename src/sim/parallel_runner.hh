@@ -15,13 +15,13 @@
  * Scheduling: expensive per-(workload, scenario) state — the mapping,
  * the plain/THP page tables and the recorded access stream — is built
  * once per pair (by whichever worker gets there first) and shared by
- * that pair's scheme jobs. The sweep mutates its table, so each anchor
- * job clones the shared THP table once and re-sweeps the clone in place
- * for every distance it runs (runAnchorPasses). An AnchorIdeal cell
- * fans out as min(threads, 16) contiguous chunks of candidate ranks,
- * one clone and one walk bound each (DESIGN.md §7.6). Leaves are enqueued in pair order and each pair's
- * state is freed when its last leaf completes, so peak memory stays
- * near (threads + 1) live pairs rather than the whole grid.
+ * that pair's scheme jobs. Tables are never written after their build,
+ * so every job of a pair, anchor jobs included, reads the same tables
+ * (DESIGN.md §7.5). An AnchorIdeal cell fans out as min(threads, 16)
+ * contiguous chunks of candidate ranks, one walk bound each (DESIGN.md
+ * §7.6). Leaves are enqueued in pair order and each pair's state is
+ * freed when its last leaf completes, so peak memory stays near
+ * (threads + 1) live pairs rather than the whole grid.
  */
 
 #ifndef ANCHORTLB_SIM_PARALLEL_RUNNER_HH
@@ -49,13 +49,13 @@ struct CellJob
 /**
  * Run one cell against shared @p pair state (which must be the pair
  * @p job names). This is the complete single-cell job body:
- * Base/Cluster use the pair's plain table, the THP-family schemes its
- * THP table, Anchor clones the THP table and sweeps the clone once,
- * and AnchorIdeal sweeps one clone in place through every candidate
- * distance in one runAnchorPasses call, under that call's walk bound,
- * keeping the first minimum-miss run (the same tie-break as the
- * serial sweep and the parallel reduction). No table is ever
- * rebuilt from the mapping. options.threads is not consulted — callers
+ * Base/Cluster use the pair's plain table; the THP-family and anchor
+ * schemes its THP table. Anchor runs one pass at its distance, and
+ * AnchorIdeal runs every candidate distance in one runAnchorPasses
+ * call, under that call's walk bound, keeping the first minimum-miss
+ * run (the same tie-break as the serial sweep and the parallel
+ * reduction). Only reads the pair's tables, so any number of jobs
+ * share them. options.threads is not consulted — callers
  * wanting within-cell parallelism split AnchorIdeal candidates into
  * rank chunks themselves (idealRankChunks). Safe for concurrent calls
  * sharing one @p pair; results are byte-identical to

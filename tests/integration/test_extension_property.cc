@@ -70,7 +70,7 @@ TEST_P(ExtensionProperty, RegionAnchorAlwaysCorrect)
 {
     const MemoryMap map = makeMap();
     const RegionPartition partition = partitionAnchorRegions(map);
-    const PageTable table = buildRegionAnchorPageTable(map, partition);
+    const PageTable table = buildPageTable(map, true);
     MmuConfig cfg;
     RegionAnchorMmu mmu(cfg, table, partition);
     verify(mmu, map);

@@ -187,7 +187,6 @@ TEST_F(AnchorMmuTest, SetDistanceFlushesAndRekeys)
     mmu.translate(va(0));
     mmu.translate(va(1));
     EXPECT_GT(mmu.l2Tlb().validCount(), 0u);
-    t.sweepAnchors(map_, AnchorDist::fromPages(4));
     mmu.setDistance(AnchorDist::fromPages(4));
     EXPECT_EQ(mmu.distance().pages(), 4u);
     EXPECT_EQ(mmu.l2Tlb().validCount(), 0u);

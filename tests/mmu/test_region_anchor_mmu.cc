@@ -38,7 +38,7 @@ class RegionAnchorMmuTest : public ::testing::Test
   protected:
     RegionAnchorMmuTest()
         : map_(mixedMap()), partition_(partitionAnchorRegions(map_)),
-          table_(buildRegionAnchorPageTable(map_, partition_))
+          table_(buildPageTable(map_, true))
     {
     }
 

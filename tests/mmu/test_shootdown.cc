@@ -379,7 +379,7 @@ TEST(ShootdownStorm, RegionAnchorFallbackNoStaleAcrossFourAsids)
     std::array<PageTable, 4> tables;
     for (int i = 0; i < 4; ++i) {
         parts[i] = partitionAnchorRegions(maps[i]);
-        tables[i] = buildRegionAnchorPageTable(maps[i], parts[i]);
+        tables[i] = buildPageTable(maps[i], true);
     }
     MmuConfig cfg;
     RegionAnchorMmu mmu(cfg, tables[0], parts[0]);

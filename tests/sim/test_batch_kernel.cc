@@ -376,24 +376,22 @@ struct SchemePair
 struct DifferentialRig
 {
     MemoryMap map = test::makeVariedMap();
-    PageTable plain, thp, anchored, region;
+    PageTable plain, thp;
     RegionPartition partition;
     std::vector<SchemePair> pairs;
 
     DifferentialRig()
         : plain(buildPageTable(map, false)),
           thp(buildPageTable(map, true)),
-          anchored(buildAnchorPageTable(map, AnchorDist::fromPages(32))),
           partition(partitionAnchorRegions(map))
     {
-        region = buildRegionAnchorPageTable(map, partition);
         MmuConfig cfg;
         add<BaselineMmu>("base", cfg, plain);
         add<ColtMmu>("colt", cfg, plain);
         add<ClusterMmu>("cluster", cfg, plain, false);
         add<RmmMmu>("rmm", cfg, thp, map);
-        add<AnchorMmu>("anchor", cfg, anchored, AnchorDist::fromPages(32));
-        add<RegionAnchorMmu>("region-anchor", cfg, region, partition);
+        add<AnchorMmu>("anchor", cfg, thp, AnchorDist::fromPages(32));
+        add<RegionAnchorMmu>("region-anchor", cfg, thp, partition);
     }
 
     template <class M, class... Args>
@@ -767,7 +765,6 @@ TEST(BatchEquivalence, RunReplayMatchesExpandedReplay)
                                         scenarioParamsFor(opts, spec));
     const PageTable plain = buildPageTable(map, false);
     const PageTable thp = buildPageTable(map, true);
-    PageTable anchored = buildPageTable(map, true);
     const std::uint64_t dynamic =
         selectAnchorDistance(map.contiguityHistogram()).distance;
     for (const Scheme scheme : allSchemes) {
@@ -777,13 +774,10 @@ TEST(BatchEquivalence, RunReplayMatchesExpandedReplay)
         if (anchor)
             distances = {dynamic, 2, 64, 65536};
         for (const std::uint64_t distance : distances) {
-            const PageTable *table = &thp;
-            if (scheme == Scheme::Base || scheme == Scheme::Cluster) {
-                table = &plain;
-            } else if (anchor) {
-                anchored.sweepAnchors(map, AnchorDist::fromPages(distance));
-                table = &anchored;
-            }
+            const PageTable *table =
+                scheme == Scheme::Base || scheme == Scheme::Cluster
+                    ? &plain
+                    : &thp;
             for (const std::size_t block : {std::size_t{1024},
                                             std::size_t{7}}) {
                 const std::string what = std::string(schemeName(scheme)) +
